@@ -31,10 +31,9 @@ from .errors import (
 )
 
 # Default tolerances.  Equality checks compare against TAU_EQ times a
-# documented scale factor; isomorphism and fit residuals get a slightly
-# looser default because they accumulate more arithmetic.
+# documented scale factor; fit residuals get a slightly looser default
+# because they accumulate more arithmetic.
 TAU_EQ = 1e-9
-TAU_ISO = 1e-8
 TAU_FIT = 1e-8
 
 MAX_POWER = 64
@@ -127,6 +126,8 @@ class ValidationReport:
     the diagonal shape independently of branch.  ``valid`` is true
     exactly when ``failures`` is empty, i.e. on the standard branch
     only; the diagonal shape alone is reported but not admissible.
+    Parameters that are NaN or infinite fail as "finite", with no
+    residuals.
     """
 
     valid: bool
@@ -164,6 +165,15 @@ def validate_params(params: AlgebraParams, tol: float = TAU_EQ) -> ValidationRep
     count as valid because every downstream construction (norm form,
     classification, differentiability) needs the standard conditions.
     """
+    if not all(math.isfinite(v) for v in params.a + params.b):
+        return ValidationReport(
+            valid=False,
+            branch="none",
+            failures=["finite"],
+            residuals={},
+            special_case=False,
+            scale=tol,
+        )
     a1, a2, a3 = params.a
     b1, b2, b3 = params.b
     m = max(1.0, params.max_abs())
@@ -371,6 +381,43 @@ class PerplexAlgebra:
         return p_hi.max_norm() ** theta / p_lo.max_norm()
 
 
+def params_from_span(
+    mat: np.ndarray, basis: np.ndarray, tol: float = TAU_EQ
+) -> tuple[AlgebraParams, float] | None:
+    """Read parameters off the matrix algebra span{I, mat} acting on R^2.
+
+    ``basis`` holds the identity direction u and mat @ u as columns;
+    callers gate its determinant.  e1 and e2 act as the members of the
+    span that send u to them.  The pair is normalized to unit max-norm
+    and returned with its margin, the smaller of the open conditions
+    (i) and (ii) relative to scale; None when it is not admissible on
+    the standard branch.
+    """
+    try:
+        ab1 = np.linalg.solve(basis, np.array([1.0, 0.0]))
+        ab2 = np.linalg.solve(basis, np.array([0.0, 1.0]))
+    except np.linalg.LinAlgError:
+        return None
+    m1 = ab1[0] * np.eye(2) + ab1[1] * mat
+    m2 = ab2[0] * np.eye(2) + ab2[1] * mat
+    raw = AlgebraParams(
+        (m1[0, 0], m1[0, 1], m2[0, 1]),
+        (m1[1, 0], m1[1, 1], m2[1, 1]),
+    )
+    top = raw.max_abs()
+    if top == 0.0:
+        return None
+    params = AlgebraParams(
+        tuple(v / top for v in raw.a), tuple(v / top for v in raw.b)
+    )
+    report = validate_params(params, tol)
+    if not (report.valid and report.branch == "standard"):
+        return None
+    scale2 = max(1.0, params.max_abs()) ** 2
+    margin = min(abs(report.residuals["i"]), abs(report.residuals["ii"])) / scale2
+    return params, margin
+
+
 def sample_valid_params(
     rng: np.random.Generator,
     min_margin: float = 1e-3,
@@ -397,30 +444,9 @@ def sample_valid_params(
         basis = np.column_stack([u, mat @ u])
         if abs(np.linalg.det(basis)) < 0.1:
             continue
-        try:
-            ab1 = np.linalg.solve(basis, np.array([1.0, 0.0]))
-            ab2 = np.linalg.solve(basis, np.array([0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        m1 = ab1[0] * np.eye(2) + ab1[1] * mat
-        m2 = ab2[0] * np.eye(2) + ab2[1] * mat
-        raw = AlgebraParams(
-            (m1[0, 0], m1[0, 1], m2[0, 1]),
-            (m1[1, 0], m1[1, 1], m2[1, 1]),
-        )
-        top = raw.max_abs()
-        if top == 0.0:
-            continue
-        params = AlgebraParams(
-            tuple(v / top for v in raw.a), tuple(v / top for v in raw.b)
-        )
-        report = validate_params(params, tol)
-        if not (report.valid and report.branch == "standard"):
-            continue
-        scale2 = max(1.0, params.max_abs()) ** 2
-        margin = min(abs(report.residuals["i"]), abs(report.residuals["ii"])) / scale2
-        if margin >= min_margin:
-            return params
+        hit = params_from_span(mat, basis, tol)
+        if hit is not None and hit[1] >= min_margin:
+            return hit[0]
     raise RuntimeError("could not sample admissible parameters; loosen min_margin")
 
 

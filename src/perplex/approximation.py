@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraParams,
     Perplex,
     PerplexAlgebra,
+    params_from_span,
     validate_params,
 )
 from .calculus import PolyMap
@@ -132,26 +133,7 @@ def _commutant_fit(
     gate = 1e-2 * max(np.linalg.norm(u) * np.linalg.norm(mat @ u), 1e-300)
     if abs(np.linalg.det(basis)) < gate:
         return None
-    ab1 = np.linalg.solve(basis, np.array([1.0, 0.0]))
-    ab2 = np.linalg.solve(basis, np.array([0.0, 1.0]))
-    m1 = ab1[0] * np.eye(2) + ab1[1] * mat
-    m2 = ab2[0] * np.eye(2) + ab2[1] * mat
-    raw = AlgebraParams(
-        (m1[0, 0], m1[0, 1], m2[0, 1]),
-        (m1[1, 0], m1[1, 1], m2[1, 1]),
-    )
-    top = raw.max_abs()
-    if top == 0.0:
-        return None
-    params = AlgebraParams(
-        tuple(v / top for v in raw.a), tuple(v / top for v in raw.b)
-    )
-    report = validate_params(params, tol)
-    if not (report.valid and report.branch == "standard"):
-        return None
-    scale2 = max(1.0, params.max_abs()) ** 2
-    margin = min(abs(report.residuals["i"]), abs(report.residuals["ii"])) / scale2
-    return params, margin
+    return params_from_span(mat, basis, tol)
 
 
 def _finish_exact(mat: np.ndarray, params: AlgebraParams, margin: float) -> LinearFitResult:

@@ -120,64 +120,6 @@ def pair_product(
 
 
 # ------------------------------------------------------------------ #
-# one-variable polynomials with algebra coefficients
-# ------------------------------------------------------------------ #
-
-
-@dataclass
-class PerplexPoly:
-    """sum_k coeffs[k] * x^k with algebra-valued coefficients."""
-
-    coeffs: tuple[Perplex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    def eval(self, alg: PerplexAlgebra, x: Perplex) -> Perplex:
-        if not self.coeffs:
-            return Perplex(0.0, 0.0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = alg.mul(acc, x) + c
-        return acc
-
-    def derivative(self) -> "PerplexPoly":
-        return PerplexPoly(
-            tuple(c * float(k) for k, c in enumerate(self.coeffs) if k >= 1)
-        )
-
-    def mul(self, alg: PerplexAlgebra, other: "PerplexPoly") -> "PerplexPoly":
-        if not self.coeffs or not other.coeffs:
-            return PerplexPoly(())
-        out = [Perplex(0.0, 0.0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for k, ck in enumerate(other.coeffs):
-                out[i + k] = out[i + k] + alg.mul(ci, ck)
-        return PerplexPoly(tuple(out))
-
-    def to_polymap(self, alg: PerplexAlgebra) -> PolyMap:
-        """Expand into real component polynomials (u, v) in (x1, x2)."""
-        e = alg.identity
-        x_pair = (RealPoly.var(2, 0), RealPoly.var(2, 1))
-        xpow = (RealPoly.const(2, e.x1), RealPoly.const(2, e.x2))
-        u, v = RealPoly.zero(2), RealPoly.zero(2)
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                xpow = pair_product(alg, xpow, x_pair)
-            cu = (RealPoly.const(2, c.x1), RealPoly.const(2, c.x2))
-            tu, tv = pair_product(alg, cu, xpow)
-            u, v = u + tu, v + tv
-        return PolyMap(1, u, v)
-
-    def to_dict(self) -> dict:
-        return {"coeffs": [[c.x1, c.x2] for c in self.coeffs]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "PerplexPoly":
-        return PerplexPoly(tuple(Perplex(float(c[0]), float(c[1])) for c in data["coeffs"]))
-
-
-# ------------------------------------------------------------------ #
 # compatibility residual and derivatives
 # ------------------------------------------------------------------ #
 
@@ -249,47 +191,6 @@ def derivative_from_partials(
     return Perplex(float(d1[0]), float(d1[1]))
 
 
-def is_critical_point(
-    m: PolyMap, alg: PerplexAlgebra, x: Perplex, tol: float = 1e-9
-) -> bool:
-    """True when f'(x) is a non-unit (the norm of the derivative
-    vanishes within tolerance)."""
-    d = derivative_from_partials(m, alg, x)
-    c_scale = max(1.0, max(abs(c) for c in alg.norm_coeffs))
-    return abs(alg.norm(d)) <= tol * c_scale * max(1.0, d.max_norm()) ** 2
-
-
-@dataclass
-class CriticalLocus:
-    """The polynomial N(f'(x)) and grid samples close to its zero set."""
-
-    norm_poly: RealPoly
-    points: np.ndarray
-    grid_max: float
-
-
-def critical_locus(
-    m: PolyMap,
-    alg: PerplexAlgebra,
-    box: tuple[float, float, float, float] = (-1.0, 1.0, -1.0, 1.0),
-    grid_res: int = 65,
-    tol: float = 1e-8,
-) -> CriticalLocus:
-    """Sample the critical set {x : N(f'(x)) = 0} on a grid.
-
-    Plot-quality sampling: grid nodes where the polynomial is tiny
-    relative to its grid maximum, plus bisection roots along grid edges
-    where it changes sign.
-    """
-    from ._scan import zero_points_on_grid
-
-    d = derivative_polymap(m, alg)
-    c1, c2, c3 = alg.norm_coeffs
-    npoly = d.u * d.u * c1 + d.u * d.v * c2 + d.v * d.v * c3
-    pts, grid_max = zero_points_on_grid(npoly.eval_many, box, grid_res, tol)
-    return CriticalLocus(norm_poly=npoly, points=pts, grid_max=grid_max)
-
-
 # ------------------------------------------------------------------ #
 # difference quotients
 # ------------------------------------------------------------------ #
@@ -318,10 +219,14 @@ class DiffQuotient:
 
 
 def _as_callable(f, alg: PerplexAlgebra) -> Callable[[Perplex], Perplex]:
+    from .multivar import PerplexPolyN  # multivar builds on this module
+
     if isinstance(f, PolyMap):
         return lambda p: f.eval_perplex(p)
-    if isinstance(f, PerplexPoly):
-        return lambda p: f.eval(alg, p)
+    if isinstance(f, PerplexPolyN):
+        if f.nvars != 1:
+            raise ValueError("difference quotients need a one-variable polynomial")
+        return lambda p: f.eval(alg, [p])
     return f
 
 

@@ -1,10 +1,10 @@
 """Desk-scale verification of local triviality over the punctured disk.
 
-The pipeline: sample the critical set of a polynomial map, push it to
-the target plane, rasterize the resulting discriminant cloud into a
-mask over a small disk, flood-fill the complement into components, and
-probe each component with fiber counts.  Constancy of the count within
-a component is the checkable content of the fibration statement.
+The pipeline: find the discriminant of a polynomial map, rasterize it
+into a mask over a small target disk, flood-fill the complement into
+components, and probe each component with fiber counts.  Constancy of
+the count within a component is the checkable content of the
+fibration statement.
 
 The mask also blanks the target's zero-divisor cone.  The cone is not
 part of the discriminant, but cutting along it only refines the
@@ -13,15 +13,28 @@ constancy must still hold piecewise, and the refinement keeps probe
 regions away from the directions where inverse images degenerate.  For
 a field algebra the cone is the origin alone and nothing changes.
 
-Fibers over a one-variable map are finite and found by a dense damped
-Newton grid; two-variable fibers are surfaces, sampled as point clouds
-by Gauss-Newton projection and summarized by a single-linkage
-connectivity estimate (a diagnostic, not certified topology).
+One-variable maps are solved in the model algebra.  The isomorphism
+from ``classify`` carries f = sum c_k x^k term by term into the model.
+Onto C, f becomes one complex polynomial P: its fibers are the roots
+of P - w and its discriminant is the finite set P(roots of P').  Onto
+R + R, f splits as (p1(s), p2(t)): its fibers are the pairs of real
+roots, and its discriminant is the axis-parallel segments
+{p1(s*)} x p2(J) and p1(J) x {p2(t*)}, where s* and t* are the real
+critical points and J is the part of their critical line inside the
+source box.  Roots are carried back and polished by Newton in the
+original coordinates; segments are carried back and sampled at raster
+density.  The dual numbers have no finite model solve here and are
+rejected.
+
+Two-variable fibers are surfaces, sampled as point clouds by
+Gauss-Newton projection and summarized by a single-linkage
+connectivity estimate (a diagnostic, not certified topology); their
+discriminant is sampled by least squares on the rank-drop system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, optimize, sparse
@@ -31,15 +44,15 @@ from scipy.spatial import cKDTree
 from .algebra import Perplex, PerplexAlgebra
 from .calculus import PolyMap
 from .errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
-from .multivar import PerplexPolyN, partial_derivative
+from .multivar import PerplexPolyN
 from .realpoly import RealPoly
-from ._scan import trace_zero_curve, zero_points_on_grid
-from .structure import AlgebraKind, classify
+from .structure import AlgebraKind, Classification, classify
 
 _TARGET_RES = 256
-_SOURCE_RES = 65
-_NEWTON_GRID = 64
 _NEWTON_ITERS = 50
+_POLISH_STEPS = 2
+_REAL_ROOT_TOL = 1e-9
+_SEGMENT_SPACING = 0.45
 _FIBER_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-6
 _MASK_DILATION = 2
@@ -49,54 +62,84 @@ _CLOUD_SEEDS = 4096
 _NULLVEC_SEEDS = 96
 
 
-def _require_nondegenerate(alg: PerplexAlgebra) -> AlgebraKind:
-    kind = classify(alg).kind
-    if kind == AlgebraKind.DEGENERATE:
+def _nondegenerate(alg: PerplexAlgebra) -> Classification:
+    cls = classify(alg)
+    if cls.kind == AlgebraKind.DEGENERATE:
         raise DegenerateAlgebra(
             "fibration analysis needs a nondegenerate algebra; the"
             " discriminant of this parameter pair sits in the degenerate band"
         )
-    return kind
+    return cls
 
 
-def _cone_directions(alg: PerplexAlgebra, tol: float = 1e-9) -> list[np.ndarray]:
-    """Unit directions spanning the zero-divisor cone of the algebra."""
-    c1, c2, c3 = alg.zero_divisor_conic()
-    scale = max(1.0, abs(c1), abs(c2), abs(c3))
-    dirs: list[np.ndarray] = []
-    # directions (1, t) with c1 + c2 t + c3 t^2 = 0
-    if abs(c3) > tol * scale:
-        disc = c2 * c2 - 4.0 * c1 * c3
-        if disc >= 0.0:
-            root = np.sqrt(disc)
-            for t in ((-c2 + root) / (2 * c3), (-c2 - root) / (2 * c3)):
-                d = np.array([1.0, t])
-                dirs.append(d / np.linalg.norm(d))
-    elif abs(c2) > tol * scale:
-        d = np.array([1.0, -c1 / c2])
-        dirs.append(d / np.linalg.norm(d))
-        dirs.append(np.array([0.0, 1.0]))
-    elif abs(c1) <= tol * scale:
-        # conic vanishes identically; should not happen for valid params
-        dirs.append(np.array([1.0, 0.0]))
-        dirs.append(np.array([0.0, 1.0]))
-    else:
-        if abs(c3) <= tol * scale:
-            dirs.append(np.array([0.0, 1.0]))
-    # dedupe up to sign
-    uniq: list[np.ndarray] = []
-    for d in dirs:
-        if not any(min(np.linalg.norm(d - e), np.linalg.norm(d + e)) < 1e-9 for e in uniq):
-            uniq.append(d)
-    return uniq
+@dataclass(frozen=True)
+class _Model:
+    """A one-variable map carried into its model algebra.
+
+    Row j of ``coeffs`` holds the j-th model coordinate of the
+    coefficients, highest degree first (numpy's order): for Field the
+    complex polynomial is row 0 + i * row 1, for Hyperbolic the rows are
+    p1 and p2.  ``inv`` carries model points back to the algebra.
+    """
+
+    kind: AlgebraKind
+    iso: np.ndarray
+    inv: np.ndarray
+    coeffs: np.ndarray
+    expansion: PolyMap
+    jac_polys: list[list[RealPoly]]
 
 
-def _cone_samples(alg: PerplexAlgebra, eta: float, target_res: int) -> np.ndarray:
-    dirs = _cone_directions(alg)
-    if not dirs:
+def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
+    cls = _nondegenerate(alg)
+    degree = max((exp[0] for exp, _ in f.terms), default=0)
+    coeffs = np.zeros((2, degree + 1))
+    for (k,), c in f.terms:
+        coeffs[:, degree - k] = cls.iso @ np.array(c.as_tuple())
+    expansion = f.to_polymap(alg)
+    return _Model(
+        kind=cls.kind,
+        iso=cls.iso,
+        inv=np.linalg.inv(cls.iso),
+        coeffs=coeffs,
+        expansion=expansion,
+        jac_polys=_jacobian_polys(expansion),
+    )
+
+
+def _complex(rows: np.ndarray) -> np.ndarray:
+    return rows[0] + 1j * rows[1]
+
+
+def _real_roots(poly: np.ndarray) -> np.ndarray:
+    roots = np.roots(poly)
+    real = np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
+    return roots.real[real]
+
+
+def _box_interval(
+    base: np.ndarray, step: np.ndarray, bound: float
+) -> tuple[float, float] | None:
+    """The range of tau with |base + tau * step|_inf <= bound, or None."""
+    lo, hi = -np.inf, np.inf
+    for b, d in zip(base, step):
+        if d == 0.0:
+            if abs(b) > bound:
+                return None
+            continue
+        ends = sorted(((-bound - b) / d, (bound - b) / d))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    return (lo, hi) if lo <= hi else None
+
+
+def _cone_samples(model: _Model, eta: float, target_res: int) -> np.ndarray:
+    """Samples of the zero-divisor cone: the images of the model axes
+    for Hyperbolic, nothing beyond the origin for Field."""
+    if model.kind is AlgebraKind.FIELD:
         return np.empty((0, 2))
     radii = np.linspace(-1.45 * eta, 1.45 * eta, 6 * target_res)
-    return np.vstack([radii[:, None] * d[None, :] for d in dirs])
+    dirs = model.inv / np.linalg.norm(model.inv, axis=0)
+    return np.vstack([radii[:, None] * d[None, :] for d in dirs.T])
 
 
 def _jacobian_polys(m: PolyMap) -> list[list[RealPoly]]:
@@ -115,84 +158,66 @@ def critical_values(
     alg: PerplexAlgebra,
     epsilon: float = 1.0,
     eta: float = 0.05,
-    grid_res: int = _SOURCE_RES,
     target_res: int = _TARGET_RES,
     seed: int = 0,
 ) -> np.ndarray:
-    """Discriminant cloud: the critical set pushed through the map.
+    """Discriminant samples: the critical set pushed through the map.
 
-    One-variable maps have a critical curve cut out by the norm of the
-    derivative; it is seeded from a sign grid and traced with a step
-    bounded so the image advances at most half a raster cell, which
-    keeps the rasterized discriminant gap-free.  Maps in more variables
-    fall back to least-squares sampling of the rank-drop system (a left
-    null vector of the Jacobian), which yields a cloud without curve
-    structure.  Points are returned inside a slightly padded eta box.
+    One-variable maps are solved in the model algebra: the critical
+    values in the source box are exact, and the hyperbolic segments are
+    sampled at most 0.45 raster cells apart, which keeps the rasterized
+    discriminant gap-free.  Maps in more variables fall back to
+    least-squares sampling of the rank-drop system (a left null vector
+    of the Jacobian), which yields a cloud without curve structure.
+    Points are returned inside a slightly padded eta box.
     """
-    _require_nondegenerate(alg)
-    expansion = f.to_polymap(alg)
     if f.nvars == 1:
-        return _critical_values_curve(
-            f, alg, expansion, epsilon, eta, grid_res, target_res
-        )
-    return _critical_values_nullvec(expansion, epsilon, eta, seed)
+        return _discriminant(_model(f, alg), epsilon, eta, target_res)
+    _nondegenerate(alg)
+    return _critical_values_nullvec(f.to_polymap(alg), epsilon, eta, seed)
 
 
-def _critical_values_curve(
-    f: PerplexPolyN,
-    alg: PerplexAlgebra,
-    expansion: PolyMap,
-    epsilon: float,
-    eta: float,
-    grid_res: int,
-    target_res: int,
+def _discriminant(
+    model: _Model, epsilon: float, eta: float, target_res: int
 ) -> np.ndarray:
-    deriv = partial_derivative(f, 0).to_polymap(alg)
-    c1, c2, c3 = alg.norm_coeffs
-    du, dv = deriv.u, deriv.v
-    norm_poly = du * du * c1 + du * dv * c2 + dv * dv * c3
-    gx, gy = norm_poly.pderiv(0), norm_poly.pderiv(1)
+    bound = 1.35 * eta
+    degree = model.coeffs.shape[1] - 1
+    deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
+    inv = model.inv
+    if model.kind is AlgebraKind.FIELD:
+        crit = np.roots(_complex(deriv))
+        sources = np.column_stack([crit.real, crit.imag]) @ inv.T
+        crit = crit[np.abs(sources).max(axis=1) <= epsilon]
+        vals = np.polyval(_complex(model.coeffs), crit)
+        targets = np.column_stack([vals.real, vals.imag]) @ inv.T
+        return targets[np.abs(targets).max(axis=1) <= bound]
 
-    box = (-epsilon, epsilon, -epsilon, epsilon)
-    seeds, _ = zero_points_on_grid(norm_poly.eval_many, box, grid_res)
-    if seeds.size == 0:
-        return np.empty((0, 2))
-
-    jac_polys = _jacobian_polys(expansion)
-    cell_target = 2.0 * eta / target_res
-    cell_source = 2.0 * epsilon / (grid_res - 1)
-
-    def grad(p: np.ndarray) -> np.ndarray:
-        q = p[None, :]
-        return np.array([float(gx.eval_many(q)[0]), float(gy.eval_many(q)[0])])
-
-    def step(p: np.ndarray, tangent: np.ndarray) -> float:
-        jac = _eval_jacobian(jac_polys, p[None, :])[0]
-        speed = float(np.linalg.norm(jac @ tangent))
-        raw = 0.45 * cell_target / max(speed, 1e-9)
-        return float(np.clip(raw, 1e-6, cell_source))
-
-    image_cap = 2.2 * eta
-
-    def keep_going(p: np.ndarray) -> bool:
-        img = expansion.eval_many(p[None, :])[0]
-        return float(np.abs(img).max()) <= image_cap
-
-    collected: list[np.ndarray] = []
-    tree: cKDTree | None = None
-    for seedpt in seeds:
-        if tree is not None:
-            if tree.query(seedpt)[0] < 0.7 * cell_source:
+    spacing = _SEGMENT_SPACING * 2.0 * eta / target_res
+    turns = [np.roots(d).real for d in deriv]
+    segments = [np.empty((0, 2))]
+    for axis, other in ((0, 1), (1, 0)):
+        # critical lines {model coordinate `axis` = s*}, parametrised by
+        # the other coordinate; each maps onto one axis-parallel segment
+        for s_star in _real_roots(deriv[axis]):
+            j_range = _box_interval(s_star * inv[:, axis], inv[:, other], epsilon)
+            if j_range is None:
                 continue
-        path = trace_zero_curve(
-            norm_poly.eval_many, grad, seedpt, box, step, keep_going=keep_going
-        )
-        collected.append(path)
-        tree = cKDTree(np.vstack(collected))
-    sources = np.vstack(collected)
-    targets = expansion.eval_many(sources)
-    keep = np.abs(targets).max(axis=1) <= 1.35 * eta
-    return targets[keep]
+            # the extremes of p_other over J sit at its ends or at turning
+            # points; a non-real root's real part only adds a value inside
+            t = turns[other]
+            cand = np.concatenate([j_range, t[(t > j_range[0]) & (t < j_range[1])]])
+            vals = np.polyval(model.coeffs[other], cand)
+            base = np.polyval(model.coeffs[axis], s_star) * inv[:, axis]
+            seen = _box_interval(base, inv[:, other], bound)
+            if seen is None:
+                continue
+            lo, hi = max(vals.min(), seen[0]), min(vals.max(), seen[1])
+            if lo > hi:
+                continue
+            length = (hi - lo) * np.linalg.norm(inv[:, other])
+            taus = np.linspace(lo, hi, int(np.ceil(length / spacing)) + 1)
+            segments.append(base + taus[:, None] * inv[:, other])
+    return np.vstack(segments)
 
 
 def _critical_values_nullvec(
@@ -227,56 +252,52 @@ def _critical_values_nullvec(
     keep = np.abs(targets).max(axis=1) <= 1.35 * eta
     return targets[keep]
 
-
 def fiber_solve(
     f: PerplexPolyN,
     alg: PerplexAlgebra,
     c: Perplex,
     epsilon: float = 1.0,
-    grid_res: int = _NEWTON_GRID,
 ) -> list[Perplex]:
     """All solutions of f(x) = c inside the epsilon ball (one variable).
 
-    Newton iteration runs vectorized from a grid of seeds; converged
-    points are kept when the residual max-norm is at most 1e-10, then
-    deduplicated so reported points stay at least 1e-6 apart.
+    The roots are solved in the model algebra and carried back, then
+    polished by two Newton steps; points are kept when the residual
+    max-norm is at most 1e-10, then deduplicated so reported points
+    stay at least 1e-6 apart.
     """
     if f.nvars != 1:
         raise ValueError("finite fiber solving needs a one-variable map")
-    expansion = f.to_polymap(alg)
-    jac_polys = _jacobian_polys(expansion)
-    target = np.array(c.as_tuple())
+    return _fibers(_model(f, alg), c, epsilon)
 
-    axis = np.linspace(-epsilon, epsilon, grid_res)
-    xs, ys = np.meshgrid(axis, axis)
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
-    active = np.ones(len(pts), dtype=bool)
-    for _ in range(_NEWTON_ITERS):
-        if not active.any():
-            break
-        cur = pts[active]
-        res = expansion.eval_many(cur) - target
-        jac = _eval_jacobian(jac_polys, cur)
+
+def _fibers(model: _Model, c: Perplex, epsilon: float) -> list[Perplex]:
+    target = np.array(c.as_tuple())
+    shifted = model.coeffs.copy()
+    shifted[:, -1] -= model.iso @ target
+    if model.kind is AlgebraKind.FIELD:
+        z = np.roots(_complex(shifted))
+        pts = np.column_stack([z.real, z.imag])
+    else:
+        s, t = (_real_roots(row) for row in shifted)
+        pts = np.column_stack([np.repeat(s, len(t)), np.tile(t, len(s))])
+    if len(pts) == 0:
+        return []
+    pts = pts @ model.inv.T
+
+    expansion = model.expansion
+    for _ in range(_POLISH_STEPS):
+        res = expansion.eval_many(pts) - target
+        jac = _eval_jacobian(model.jac_polys, pts)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         ok = np.abs(det) > 1e-14
-        step = np.zeros_like(cur)
+        step = np.zeros_like(pts)
         step[ok, 0] = (jac[ok, 1, 1] * res[ok, 0] - jac[ok, 0, 1] * res[ok, 1]) / det[ok]
         step[ok, 1] = (jac[ok, 0, 0] * res[ok, 1] - jac[ok, 1, 0] * res[ok, 0]) / det[ok]
-        cur = cur - step
-        pts[active] = cur
-        # retire walkers that left a generous bounding box or lost
-        # their Jacobian; they will not produce a valid root
-        alive = ok & (np.abs(cur).max(axis=1) <= 4.0 * epsilon)
-        idx = np.flatnonzero(active)
-        active[idx[~alive]] = False
-        done = np.abs(expansion.eval_many(cur) - target).max(axis=1) <= 1e-14
-        active[idx[alive & done]] = False
+        pts = pts - step
 
     res = np.abs(expansion.eval_many(pts) - target).max(axis=1)
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
     roots = pts[good]
-    if roots.size == 0:
-        return []
     order = np.lexsort((roots[:, 1], roots[:, 0]))
     kept: list[np.ndarray] = []
     for p in roots[order]:
@@ -348,8 +369,7 @@ class FibrationReport:
 
 
 def _component_reports(
-    f: PerplexPolyN,
-    alg: PerplexAlgebra,
+    model: _Model,
     eta: float,
     epsilon: float,
     probes_per_component: int,
@@ -391,7 +411,7 @@ def _component_reports(
         for row, col in cells[pick]:
             tgt = (float(centers_axis[col]), float(centers_axis[row]))
             probes.append(tgt)
-            counts.append(len(fiber_solve(f, alg, Perplex(*tgt), epsilon)))
+            counts.append(len(_fibers(model, Perplex(*tgt), epsilon)))
         tally = np.bincount(counts)
         majority = int(tally.argmax())
         constant = bool(all(n == counts[0] for n in counts))
@@ -435,30 +455,33 @@ def local_triviality_check(
 ) -> FibrationReport:
     """Probe fiber-count constancy over the masked punctured disk.
 
-    The discriminant cloud and the target zero-divisor cone are
-    rasterized into a mask (dilated by two cells), the unmasked disk is
-    flood-filled into components, and every component is probed with
-    fiber counts at seeded random cells.  When a component is too thin
-    to probe or a count disagreement appears away from the mask, eta is
-    halved and the check rerun, up to six times.
+    The map is carried into the model algebra once.  Its discriminant
+    and the target zero-divisor cone are rasterized into a mask (dilated
+    by two cells), the unmasked disk is flood-filled into components,
+    and every component is probed with fiber counts at seeded random
+    cells.  When a component is too thin to probe or a count
+    disagreement appears away from the mask, eta is halved and the
+    check rerun, up to six times.
     """
     if f.nvars != 1:
         raise ValueError("triviality probing with fiber counts needs one variable")
-    kind = _require_nondegenerate(alg)
+    model = _model(f, alg)
     if eta > epsilon / 10.0:
         raise ValueError("eta must be at most epsilon/10")
+    if probes_per_component < 1:
+        raise ValueError(
+            f"probes_per_component must be at least 1, got {probes_per_component}"
+        )
 
     last_error: MaskTooCoarse | None = None
     report: FibrationReport | None = None
     cur_eta = eta
     for halving in range(_MAX_HALVINGS + 1):
-        disc = critical_values(
-            f, alg, epsilon=epsilon, eta=cur_eta, target_res=target_res
-        )
-        cone = _cone_samples(alg, cur_eta, target_res)
+        disc = _discriminant(model, epsilon, cur_eta, target_res)
+        cone = _cone_samples(model, cur_eta, target_res)
         try:
             comps, consistent = _component_reports(
-                f, alg, cur_eta, epsilon, probes_per_component,
+                model, cur_eta, epsilon, probes_per_component,
                 seed, disc, cone, target_res,
             )
         except MaskTooCoarse as exc:
@@ -466,7 +489,7 @@ def local_triviality_check(
             cur_eta *= 0.5
             continue
         report = FibrationReport(
-            algebra_kind=kind.value,
+            algebra_kind=model.kind.value,
             epsilon=epsilon,
             eta=cur_eta,
             components=tuple(comps),
@@ -531,7 +554,7 @@ def fiber_cloud(
     """
     if f.nvars != 2:
         raise ValueError("cloud sampling needs a two-variable map")
-    _require_nondegenerate(alg)
+    _nondegenerate(alg)
     expansion = f.to_polymap(alg)
     jac_polys = _jacobian_polys(expansion)
     target = np.array(c.as_tuple())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TAU_EQ, TAU_ISO, AlgebraParams, Perplex, PerplexAlgebra
+from .algebra import TAU_EQ, AlgebraParams, Perplex, PerplexAlgebra
 from .errors import DegenerateParams, IllConditioned
 
 _ISO_CHECK_SEED = 1789

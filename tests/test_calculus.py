@@ -10,18 +10,17 @@ from perplex.algebra import (
     sample_valid_params,
 )
 from perplex.calculus import (
-    PerplexPoly,
     PolyMap,
-    critical_locus,
     derivative_from_partials,
     derivative_polymap,
     diff_quotient,
     direction_spread,
     gcr_residual,
-    is_critical_point,
     linear_polymap,
 )
 from perplex.errors import GcrViolated, NotSeparated
+from perplex.fibration import critical_values
+from perplex.multivar import PerplexPolyN, is_critical, partial_derivative
 from perplex.realpoly import RealPoly
 
 from conftest import philox
@@ -32,9 +31,20 @@ def conjugation_map() -> PolyMap:
     return PolyMap(1, x1, -x2)
 
 
-def perplex_square() -> PerplexPoly:
-    zero = Perplex(0.0, 0.0)
-    return PerplexPoly((zero, zero, Perplex(1.0, 0.0)))
+def perplex_square() -> PerplexPolyN:
+    return PerplexPolyN.from_terms(1, [((2,), Perplex(1.0, 0.0))])
+
+
+def poly1(coeffs) -> PerplexPolyN:
+    """sum_k coeffs[k] * x^k in one variable."""
+    return PerplexPolyN.from_terms(1, [((k,), c) for k, c in enumerate(coeffs)])
+
+
+def poly1_mul(alg, f: PerplexPolyN, g: PerplexPolyN) -> PerplexPolyN:
+    return PerplexPolyN.from_terms(
+        1,
+        [((i + k,), alg.mul(ci, ck)) for (i,), ci in f.terms for (k,), ck in g.terms],
+    )
 
 
 # ---------------------------------------------------------------- #
@@ -109,13 +119,13 @@ def test_expansions_satisfy_residual_everywhere():
     for _ in range(25):
         alg = PerplexAlgebra(sample_valid_params(rng))
         coeffs = random_elements(rng, 4)
-        poly = PerplexPoly(tuple(coeffs))
+        poly = poly1(coeffs)
         m = poly.to_polymap(alg)
         assert gcr_residual(m, alg).is_zero()
-        # pointwise evaluation of the expansion matches Horner evaluation
+        # pointwise evaluation of the expansion matches algebra evaluation
         for x in random_elements(rng, 5):
             via_map = m.eval_perplex(x)
-            via_horner = poly.eval(alg, x)
+            via_horner = poly.eval(alg, [x])
             scale = max(1.0, via_horner.max_norm())
             assert (via_map - via_horner).max_norm() <= 1e-9 * scale
 
@@ -124,12 +134,12 @@ def test_derivative_matches_formal_derivative():
     rng = philox(777)
     for _ in range(20):
         alg = PerplexAlgebra(sample_valid_params(rng))
-        poly = PerplexPoly(tuple(random_elements(rng, 4)))
+        poly = poly1(random_elements(rng, 4))
         m = poly.to_polymap(alg)
-        dpoly = poly.derivative()
+        dpoly = partial_derivative(poly, 0)
         for x in random_elements(rng, 5):
             lhs = derivative_from_partials(m, alg, x)
-            rhs = dpoly.eval(alg, x)
+            rhs = dpoly.eval(alg, [x])
             assert (lhs - rhs).max_norm() <= 1e-8 * max(1.0, rhs.max_norm())
 
 
@@ -137,7 +147,7 @@ def test_jacobian_is_left_multiplication():
     rng = philox(31337)
     for _ in range(10):
         alg = PerplexAlgebra(sample_valid_params(rng))
-        poly = PerplexPoly(tuple(random_elements(rng, 3)))
+        poly = poly1(random_elements(rng, 3))
         m = poly.to_polymap(alg)
         u1, v1, u2, v2 = m.partials(0)
         for x in random_elements(rng, 4):
@@ -157,18 +167,17 @@ def test_product_rule():
     rng = philox(1414)
     for _ in range(15):
         alg = PerplexAlgebra(sample_valid_params(rng))
-        f = PerplexPoly(tuple(random_elements(rng, 3)))
-        g = PerplexPoly(tuple(random_elements(rng, 4)))
-        prod = f.mul(alg, g)
-        lhs = prod.derivative()
-        rhs_a = f.derivative().mul(alg, g)
-        rhs_b = f.mul(alg, g.derivative())
-        top = max(len(rhs_a.coeffs), len(rhs_b.coeffs), len(lhs.coeffs))
+        f = poly1(random_elements(rng, 3))
+        g = poly1(random_elements(rng, 4))
+        lhs = partial_derivative(poly1_mul(alg, f, g), 0)
+        rhs_a = poly1_mul(alg, partial_derivative(f, 0), g)
+        rhs_b = poly1_mul(alg, f, partial_derivative(g, 0))
 
         def coeff(p, k):
-            return p.coeffs[k] if k < len(p.coeffs) else Perplex(0.0, 0.0)
+            return p.term_dict().get((k,), Perplex(0.0, 0.0))
 
-        for k in range(top):
+        exps = {exp for p in (lhs, rhs_a, rhs_b) for exp, _ in p.terms}
+        for (k,) in exps:
             gap = coeff(lhs, k) - (coeff(rhs_a, k) + coeff(rhs_b, k))
             assert gap.max_norm() <= 1e-9 * max(
                 1.0, coeff(lhs, k).max_norm()
@@ -189,11 +198,13 @@ def test_quotient_ladder_matches_derivative(complex_alg):
     m = perplex_square().to_polymap(complex_alg)
     x0 = Perplex(0.3, -0.2)
     want = derivative_from_partials(m, complex_alg, x0)
-    for ang in (0.0, 0.9, 2.1):
-        d = Perplex(float(np.cos(ang)), float(np.sin(ang)))
-        report = diff_quotient(m, complex_alg, x0, d)
-        assert (report.estimate - want).max_norm() <= 1e-6
-        assert report.converged
+    # the ladder takes the real expansion or the polynomial itself
+    for fn in (m, perplex_square()):
+        for ang in (0.0, 0.9, 2.1):
+            d = Perplex(float(np.cos(ang)), float(np.sin(ang)))
+            report = diff_quotient(fn, complex_alg, x0, d)
+            assert (report.estimate - want).max_norm() <= 1e-6
+            assert report.converged
 
 
 def test_quotient_rejects_non_separated_direction(hyperbolic_alg):
@@ -219,29 +230,36 @@ def test_direction_spread_small_for_differentiable(complex_alg):
 
 
 def test_critical_locus_complex_square(complex_alg):
-    m = perplex_square().to_polymap(complex_alg)
-    locus = critical_locus(m, complex_alg)
-    # N(f') = 4(x1^2 + x2^2): only the origin
-    assert locus.points.shape[0] >= 1
-    assert np.max(np.hypot(locus.points[:, 0], locus.points[:, 1])) <= 1e-6
-    assert is_critical_point(m, complex_alg, Perplex(0.0, 0.0))
-    assert not is_critical_point(m, complex_alg, Perplex(0.5, 0.1))
+    f = perplex_square()
+    # N(f') = 4(x1^2 + x2^2): only the origin is critical
+    assert is_critical(f, complex_alg, [Perplex(0.0, 0.0)]).critical
+    assert not is_critical(f, complex_alg, [Perplex(0.5, 0.1)]).critical
+    for x in random_elements(philox(5), 10):
+        assert not is_critical(f, complex_alg, [x]).critical
+    disc = critical_values(f, complex_alg)
+    assert disc.shape == (1, 2)
+    assert np.abs(disc).max() <= 1e-12
 
 
 def test_critical_locus_hyperbolic_square(hyperbolic_alg):
-    m = perplex_square().to_polymap(hyperbolic_alg)
-    locus = critical_locus(m, hyperbolic_alg)
-    pts = locus.points
-    assert pts.shape[0] > 50
-    # N(f') = 4(x1^2 - x2^2): the two diagonals
-    assert np.max(np.abs(np.abs(pts[:, 0]) - np.abs(pts[:, 1]))) <= 1e-6
+    f = perplex_square()
+    # N(f') = 4(x1^2 - x2^2): the two diagonals are critical
+    for t in np.linspace(-0.9, 0.9, 7):
+        for sign in (1.0, -1.0):
+            assert is_critical(f, hyperbolic_alg, [Perplex(t, sign * t)]).critical
+    assert not is_critical(f, hyperbolic_alg, [Perplex(0.5, 0.1)]).critical
+    # their image is the pair of rays c1 = |c2|
+    disc = critical_values(f, hyperbolic_alg)
+    assert len(disc) > 50
+    assert np.max(np.abs(disc[:, 0] - np.abs(disc[:, 1]))) <= 1e-12
 
 
 def test_critical_locus_norm_poly_vs_finite_difference(dual_alg):
     rng = philox(2024)
-    poly = PerplexPoly(tuple(random_elements(rng, 3)))
-    m = poly.to_polymap(dual_alg)
-    locus = critical_locus(m, dual_alg)
+    m = poly1(random_elements(rng, 3)).to_polymap(dual_alg)
+    d = derivative_polymap(m, dual_alg)
+    c1, c2, c3 = dual_alg.norm_coeffs
+    norm_poly = d.u * d.u * c1 + d.u * d.v * c2 + d.v * d.v * c3
     # independent check of N(f'): central finite differences of the map
     h = 1e-6
     for x in random_elements(rng, 10):
@@ -253,8 +271,7 @@ def test_critical_locus_norm_poly_vs_finite_difference(dual_alg):
             cols.append((m.eval_many(pt + dp)[0] - m.eval_many(pt - dp)[0]) / (2 * h))
         jac = np.column_stack(cols)
         det_fd = float(np.linalg.det(jac))
-        det_alg = alg_norm = locus.norm_poly.eval_one(pt)
-        assert det_fd == pytest.approx(det_alg, rel=1e-5, abs=1e-5)
+        assert det_fd == pytest.approx(norm_poly.eval_one(pt), rel=1e-5, abs=1e-5)
 
 
 def test_polymap_json_roundtrip():
@@ -262,9 +279,3 @@ def test_polymap_json_roundtrip():
     m2 = PolyMap.from_dict(m.to_dict())
     assert m2.u.terms == m.u.terms
     assert m2.v.terms == m.v.terms
-
-
-def test_perplex_poly_json_roundtrip():
-    p = PerplexPoly((Perplex(1, 2), Perplex(-0.5, 0.25)))
-    q = PerplexPoly.from_dict(p.to_dict())
-    assert q.coeffs == p.coeffs

@@ -54,6 +54,19 @@ def test_validate_good_params():
     assert json.loads(proc.stdout)["branch"] == "standard"
 
 
+def test_validate_rejects_non_finite_params():
+    doc = '{"params": {"a": [NaN, 0, -1], "b": [0, 1, 0]}}'
+    proc = run_cli("validate", text_input=doc)
+    assert proc.returncode == 2
+
+    def refuse(token):
+        raise AssertionError(f"output holds the non-standard JSON token {token}")
+
+    data = json.loads(proc.stdout, parse_constant=refuse)
+    assert not data["valid"]
+    assert data["failures"] == ["finite"]
+
+
 def test_arithmetic_commands_match_library():
     from perplex.algebra import AlgebraParams, Perplex, PerplexAlgebra
 
@@ -202,6 +215,14 @@ def test_fiber_count_complex_square(tmp_path: Path):
     assert data["counts"] == [2]
     again = run_cli("fiber-count", payload, "--seed", "42")
     assert again.stdout == out.read_text()
+
+
+def test_fiber_count_rejects_zero_probes():
+    payload = {"params": COMPLEX, "poly": SQUARE_POLY, "probes": 0}
+    proc = run_cli("fiber-count", payload, "--seed", "1")
+    assert proc.returncode == 1
+    assert "probe" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_discriminant_csv_deterministic(tmp_path: Path):
