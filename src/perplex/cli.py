@@ -64,7 +64,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CliError(
+            "result is not finite (the computation overflowed or produced NaN)"
+        ) from exc
 
 
 def _csv_text(header: str, rows) -> str:
@@ -108,6 +113,8 @@ def _load_element(data: dict, key: str) -> Perplex:
         x = Perplex.from_seq([float(v) for v in raw])
     except (TypeError, ValueError) as exc:
         raise CliError(f"element {key!r} must be a pair of numbers") from exc
+    if not all(np.isfinite(x.as_tuple())):
+        raise CliError(f"element {key!r} must be finite, got {list(x.as_tuple())}")
     return x
 
 
@@ -477,28 +484,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         tols = _parse_tols(args.tol)
         data = _read_input(args.input)
-        text, status = _HANDLERS[args.command](data, args, tols)
-    except CliError as exc:
+        try:
+            text, status = _HANDLERS[args.command](data, args, tols)
+        except _Negative as exc:
+            text, status = _json_text(exc.payload), 2
+        except PerplexError as exc:
+            payload = {"reason": str(exc), "error": type(exc).__name__}
+            text, status = _json_text(payload), 2
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _Negative as exc:
-        try:
-            _write_output(args.output, _json_text(exc.payload))
-        except OSError as io_exc:
-            print(f"error: cannot write output: {io_exc}", file=sys.stderr)
-            return 1
-        return 2
-    except PerplexError as exc:
-        payload = {"reason": str(exc), "error": type(exc).__name__}
-        try:
-            _write_output(args.output, _json_text(payload))
-        except OSError as io_exc:
-            print(f"error: cannot write output: {io_exc}", file=sys.stderr)
-            return 1
-        return 2
     try:
         _write_output(args.output, text)
     except OSError as exc:

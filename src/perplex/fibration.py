@@ -29,7 +29,8 @@ rejected.
 Two-variable fibers are surfaces, sampled as point clouds by
 Gauss-Newton projection and summarized by a single-linkage
 connectivity estimate (a diagnostic, not certified topology); their
-discriminant is sampled by least squares on the rank-drop system.
+discriminant is sampled by one batched Gauss-Newton solve of the
+rank-drop system over all seeds.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize, sparse
+from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -167,14 +168,18 @@ def critical_values(
     values in the source box are exact, and the hyperbolic segments are
     sampled at most 0.45 raster cells apart, which keeps the rasterized
     discriminant gap-free.  Maps in more variables fall back to
-    least-squares sampling of the rank-drop system (a left null vector
-    of the Jacobian), which yields a cloud without curve structure.
+    sampling the rank-drop system (a left null vector of the Jacobian)
+    by batched Gauss-Newton from seeded starts, which yields a cloud
+    without curve structure.
     Points are returned inside a slightly padded eta box.
     """
     if f.nvars == 1:
         return _discriminant(_model(f, alg), epsilon, eta, target_res)
     _nondegenerate(alg)
-    return _critical_values_nullvec(f.to_polymap(alg), epsilon, eta, seed)
+    expansion = f.to_polymap(alg)
+    return _critical_values_nullvec(
+        expansion, _jacobian_polys(expansion), epsilon, eta, seed
+    )
 
 
 def _discriminant(
@@ -221,36 +226,50 @@ def _discriminant(
 
 
 def _critical_values_nullvec(
-    expansion: PolyMap, epsilon: float, eta: float, seed: int
+    expansion: PolyMap,
+    jac_polys: list[list[RealPoly]],
+    epsilon: float,
+    eta: float,
+    seed: int,
 ) -> np.ndarray:
-    dim = 2 * expansion.nvars
-    jac_polys = _jacobian_polys(expansion)
+    """Critical values from r(x, v) = [J(x)^T v, v.v - 1] = 0.
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        x, v = z[:dim], z[dim:]
-        jac = _eval_jacobian(jac_polys, x[None, :])[0]
-        return np.concatenate([jac.T @ v, [v @ v - 1.0]])
+    All seeds run one batched Gauss-Newton with the analytic Jacobian
+    of r: the x-block is sum_i v_i H_i(x) for the Hessians H_i of the
+    two components, the v-block J^T, and the last row (0, 2 v^T).  Each
+    step is the minimum-norm one from the pseudo-inverse.
+    """
+    dim = 2 * expansion.nvars
+    hess_polys = [[p.pderiv(k) for k in range(dim)] for row in jac_polys for p in row]
 
     rng = np.random.Generator(np.random.Philox(seed))
-    hits = []
+    starts = []
     for _ in range(_NULLVEC_SEEDS):
         x0 = rng.uniform(-epsilon, epsilon, size=dim)
         v0 = rng.normal(size=2)
         v0 /= np.linalg.norm(v0)
-        sol = optimize.least_squares(
-            residual, np.concatenate([x0, v0]), max_nfev=400
-        )
-        if np.abs(sol.fun).max() > 1e-8:
-            continue
-        x = sol.x[:dim]
-        if np.linalg.norm(x) > epsilon:
-            continue
-        hits.append(x)
-    if not hits:
-        return np.empty((0, 2))
-    targets = expansion.eval_many(np.array(hits))
+        starts.append(np.concatenate([x0, v0]))
+    z = np.array(starts)
+
+    for step in range(_NEWTON_ITERS + 1):
+        x, v = z[:, :dim], z[:, dim:]
+        jac = _eval_jacobian(jac_polys, x)
+        null = np.einsum("nik,ni->nk", jac, v)
+        res = np.column_stack([null, (v * v).sum(axis=1) - 1.0])
+        if step == _NEWTON_ITERS or np.abs(res).max() <= 1e-14:
+            break
+        hess = _eval_jacobian(hess_polys, x).reshape(len(z), 2, dim, dim)
+        dr = np.zeros((len(z), dim + 1, dim + 2))
+        dr[:, :dim, :dim] = np.einsum("ni,nikl->nkl", v, hess)
+        dr[:, :dim, dim:] = jac.transpose(0, 2, 1)
+        dr[:, dim, dim:] = 2.0 * v
+        z = z - np.einsum("nij,nj->ni", np.linalg.pinv(dr), res)
+
+    good = (np.abs(res).max(axis=1) <= 1e-8) & (np.linalg.norm(x, axis=1) <= epsilon)
+    targets = expansion.eval_many(x[good])
     keep = np.abs(targets).max(axis=1) <= 1.35 * eta
     return targets[keep]
+
 
 def fiber_solve(
     f: PerplexPolyN,
@@ -554,6 +573,8 @@ def fiber_cloud(
     """
     if f.nvars != 2:
         raise ValueError("cloud sampling needs a two-variable map")
+    if cloud_size < 1:
+        raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
     _nondegenerate(alg)
     expansion = f.to_polymap(alg)
     jac_polys = _jacobian_polys(expansion)
@@ -603,7 +624,7 @@ def fiber_cloud(
             connectivity, strays = len(sizes), 0
 
     eta_ref = 0.05
-    disc = critical_values(f, alg, epsilon=epsilon, eta=eta_ref, seed=seed)
+    disc = _critical_values_nullvec(expansion, jac_polys, epsilon, eta_ref, seed)
     threshold = 2.0 * (2.0 * eta_ref / _TARGET_RES)
     on_disc = bool(
         len(disc) and cKDTree(disc).query(target)[0] <= threshold

@@ -267,6 +267,38 @@ def test_fiber_cloud_empty_is_negative(tmp_path: Path):
     assert json.loads(proc.stdout)["error"] == "EmptyFiber"
 
 
+def test_fiber_cloud_rejects_zero_cloud_size():
+    payload = {"params": COMPLEX, "poly": SUM_SQUARES, "c": [0.05, 0.0], "cloudSize": 0}
+    proc = run_cli("fiber-cloud", payload, "--seed", "9")
+    assert proc.returncode == 1
+    assert "cloud_size must be at least 1, got 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_mul_rejects_non_finite_element():
+    doc = '{"params": {"a": [1, 0, -1], "b": [0, 1, 0]}, "x": [NaN, 0], "y": [1, 2]}'
+    proc = run_cli("mul", text_input=doc)
+    assert proc.returncode == 1
+    assert "element 'x' must be finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_mul_overflow_exits_one():
+    proc = run_cli("mul", {"params": COMPLEX, "x": [1e200, 0], "y": [1e200, 0]})
+    assert proc.returncode == 1
+    assert "not finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, perplex; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_input_file_matches_stdin(tmp_path: Path):
     payload = {"params": COMPLEX}
     path = tmp_path / "in.json"

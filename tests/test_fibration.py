@@ -28,6 +28,10 @@ def sum_of_squares():
     return PerplexPolyN.from_terms(2, [((2, 0), ONE), ((0, 2), ONE)])
 
 
+def product_map():
+    return PerplexPolyN.from_terms(2, [((1, 1), ONE)])
+
+
 @pytest.fixture(scope="module")
 def complex_square_report():
     from perplex.algebra import COMPLEX_PARAMS
@@ -74,6 +78,23 @@ class TestCriticalValues:
     def test_degenerate_algebra_rejected(self, dual_alg):
         with pytest.raises(DegenerateAlgebra):
             critical_values(square_map(), dual_alg)
+
+
+class TestTwoVariableHyperbolicDiscriminant:
+    # Over R + R both maps split into (p(s1, s2), p(t1, t2)) with the
+    # model coordinates s = c1 + c2 and t = c1 - c2; a critical point
+    # zeroes the gradient of one factor, whose value there is 0.  The
+    # floors sit at the fewest samples seen over seeds 0-299 (30 and 42).
+    @pytest.mark.parametrize(
+        "make_map, floor", [(sum_of_squares, 30), (product_map, 42)]
+    )
+    def test_samples_on_model_axes(self, hyperbolic_alg, make_map, floor):
+        disc = critical_values(make_map(), hyperbolic_alg, seed=5)
+        assert len(disc) >= floor
+        model = np.column_stack([disc[:, 0] + disc[:, 1], disc[:, 0] - disc[:, 1]])
+        assert np.abs(model).min(axis=1).max() <= 1e-8
+        again = critical_values(make_map(), hyperbolic_alg, seed=5)
+        assert np.array_equal(disc, again)
 
 
 class TestFiberSolve:
