@@ -343,10 +343,8 @@ class PerplexAlgebra:
 
     def zero_divisor_conic(self) -> tuple[float, float, float]:
         """Coefficients (c1, c2, c3) of the conic of non-units
-        c1*x1^2 + c2*x1*x2 + c3*x2^2 = 0."""
-        a1, a2, a3 = self._a
-        b1, b2, b3 = self._b
-        return (self.det_a, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+        c1*x1^2 + c2*x1*x2 + c3*x2^2 = 0: the zero set of the norm."""
+        return self.norm_coeffs
 
     def separation_margin(self, x: Perplex) -> float:
         """|N(x / |x|_2)|: the distance measure of the direction of x

@@ -63,6 +63,11 @@ _CLOUD_SEEDS = 4096
 _NULLVEC_SEEDS = 96
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _nondegenerate(alg: PerplexAlgebra) -> Classification:
     cls = classify(alg)
     if cls.kind == AlgebraKind.DEGENERATE:
@@ -133,12 +138,12 @@ def _box_interval(
     return (lo, hi) if lo <= hi else None
 
 
-def _cone_samples(model: _Model, eta: float, target_res: int) -> np.ndarray:
+def _cone_samples(model: _Model, eta: float) -> np.ndarray:
     """Samples of the zero-divisor cone: the images of the model axes
     for Hyperbolic, nothing beyond the origin for Field."""
     if model.kind is AlgebraKind.FIELD:
         return np.empty((0, 2))
-    radii = np.linspace(-1.45 * eta, 1.45 * eta, 6 * target_res)
+    radii = np.linspace(-1.45 * eta, 1.45 * eta, 6 * _TARGET_RES)
     dirs = model.inv / np.linalg.norm(model.inv, axis=0)
     return np.vstack([radii[:, None] * d[None, :] for d in dirs.T])
 
@@ -159,7 +164,6 @@ def critical_values(
     alg: PerplexAlgebra,
     epsilon: float = 1.0,
     eta: float = 0.05,
-    target_res: int = _TARGET_RES,
     seed: int = 0,
 ) -> np.ndarray:
     """Discriminant samples: the critical set pushed through the map.
@@ -171,10 +175,13 @@ def critical_values(
     sampling the rank-drop system (a left null vector of the Jacobian)
     by batched Gauss-Newton from seeded starts, which yields a cloud
     without curve structure.
-    Points are returned inside a slightly padded eta box.
+    Points are returned inside a slightly padded eta box.  ``epsilon``
+    and ``eta`` must be finite and positive.
     """
+    _check_positive("epsilon", epsilon)
+    _check_positive("eta", eta)
     if f.nvars == 1:
-        return _discriminant(_model(f, alg), epsilon, eta, target_res)
+        return _discriminant(_model(f, alg), epsilon, eta)
     _nondegenerate(alg)
     expansion = f.to_polymap(alg)
     return _critical_values_nullvec(
@@ -182,9 +189,7 @@ def critical_values(
     )
 
 
-def _discriminant(
-    model: _Model, epsilon: float, eta: float, target_res: int
-) -> np.ndarray:
+def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
     bound = 1.35 * eta
     degree = model.coeffs.shape[1] - 1
     deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
@@ -197,7 +202,7 @@ def _discriminant(
         targets = np.column_stack([vals.real, vals.imag]) @ inv.T
         return targets[np.abs(targets).max(axis=1) <= bound]
 
-    spacing = _SEGMENT_SPACING * 2.0 * eta / target_res
+    spacing = _SEGMENT_SPACING * 2.0 * eta / _TARGET_RES
     turns = [np.roots(d).real for d in deriv]
     segments = [np.empty((0, 2))]
     for axis, other in ((0, 1), (1, 0)):
@@ -395,15 +400,14 @@ def _component_reports(
     seed: int,
     disc: np.ndarray,
     cone: np.ndarray,
-    target_res: int,
 ) -> tuple[list[ComponentReport], bool]:
-    cell = 2.0 * eta / target_res
-    centers_axis = -eta + (np.arange(target_res) + 0.5) * cell
-    mask = np.zeros((target_res, target_res), dtype=bool)
+    cell = 2.0 * eta / _TARGET_RES
+    centers_axis = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
+    mask = np.zeros((_TARGET_RES, _TARGET_RES), dtype=bool)
     samples = np.vstack([disc, cone]) if len(cone) else disc
     if len(samples):
         ij = np.floor((samples + eta) / cell).astype(int)
-        keep = (ij >= 0).all(axis=1) & (ij < target_res).all(axis=1)
+        keep = (ij >= 0).all(axis=1) & (ij < _TARGET_RES).all(axis=1)
         ij = ij[keep]
         mask[ij[:, 1], ij[:, 0]] = True
     offs = np.arange(-_MASK_DILATION, _MASK_DILATION + 1)
@@ -470,7 +474,6 @@ def local_triviality_check(
     epsilon: float = 1.0,
     probes_per_component: int = 8,
     seed: int = 1,
-    target_res: int = _TARGET_RES,
 ) -> FibrationReport:
     """Probe fiber-count constancy over the masked punctured disk.
 
@@ -480,10 +483,13 @@ def local_triviality_check(
     and every component is probed with fiber counts at seeded random
     cells.  When a component is too thin to probe or a count
     disagreement appears away from the mask, eta is halved and the
-    check rerun, up to six times.
+    check rerun, up to six times.  ``epsilon`` and ``eta`` must be
+    finite and positive.
     """
     if f.nvars != 1:
         raise ValueError("triviality probing with fiber counts needs one variable")
+    _check_positive("epsilon", epsilon)
+    _check_positive("eta", eta)
     model = _model(f, alg)
     if eta > epsilon / 10.0:
         raise ValueError("eta must be at most epsilon/10")
@@ -496,12 +502,11 @@ def local_triviality_check(
     report: FibrationReport | None = None
     cur_eta = eta
     for halving in range(_MAX_HALVINGS + 1):
-        disc = _discriminant(model, epsilon, cur_eta, target_res)
-        cone = _cone_samples(model, cur_eta, target_res)
+        disc = _discriminant(model, epsilon, cur_eta)
+        cone = _cone_samples(model, cur_eta)
         try:
             comps, consistent = _component_reports(
-                model, cur_eta, epsilon, probes_per_component,
-                seed, disc, cone, target_res,
+                model, cur_eta, epsilon, probes_per_component, seed, disc, cone
             )
         except MaskTooCoarse as exc:
             last_error = exc
@@ -516,7 +521,6 @@ def local_triviality_check(
             cone_samples=cone,
             consistent=consistent,
             halvings=halving,
-            target_res=target_res,
         )
         if consistent:
             return report
@@ -569,10 +573,11 @@ def fiber_cloud(
     ball form the cloud.  Connectivity is estimated by single linkage
     at five mean nearest-neighbor distances.  The target is flagged as
     on-discriminant when it sits within two raster cells of the sampled
-    discriminant cloud.
+    discriminant cloud.  ``epsilon`` must be finite and positive.
     """
     if f.nvars != 2:
         raise ValueError("cloud sampling needs a two-variable map")
+    _check_positive("epsilon", epsilon)
     if cloud_size < 1:
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
     _nondegenerate(alg)

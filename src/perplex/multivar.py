@@ -255,6 +255,8 @@ def _loja_sample(
     """Usable (||f||_m, ||grad f||_m) pairs on log-uniform shells."""
     if not 0.0 < r_min < r_max:
         raise ValueError("need 0 < rMin < rMax")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     const = f.constant_term().max_norm()
     if const > 1e-12 * max(1.0, f.max_coeff()):
         raise ValueError("scan requires f(0) = 0")

@@ -14,7 +14,13 @@ q_a(t) = a1 + 2*a2*t + a3*t^2 and q_b(t) = b1 + 2*b2*t + b3*t^2:
 
 The isomorphism is built from the distinguished element j = e2 * e1^{-1}
 whose left-multiplication matrix L_j = B A^{-1} has characteristic
-discriminant delta / det(A)^2.
+discriminant delta / det(A)^2.  Its residual is exact over the basis
+products e1*e1, e1*e2 and e2*e2: both sides of phi(x*y) = phi(x)*phi(y)
+are symmetric and bilinear, so these three pairs decide every pair.
+
+``classify`` is the one place that decides the kind.  The nilpotent
+directions are read off its isomorphism: none unless the algebra is
+Degenerate, and then the line carried onto the model generator.
 """
 
 from __future__ import annotations
@@ -26,9 +32,6 @@ import numpy as np
 
 from .algebra import TAU_EQ, AlgebraParams, Perplex, PerplexAlgebra
 from .errors import DegenerateParams, IllConditioned
-
-_ISO_CHECK_SEED = 1789
-_ISO_CHECK_PAIRS = 100
 
 
 class AlgebraKind(str, enum.Enum):
@@ -83,12 +86,6 @@ def model_identity(kind: AlgebraKind) -> Perplex:
     return Perplex(1.0, 1.0) if kind is AlgebraKind.HYPERBOLIC else Perplex(1.0, 0.0)
 
 
-def _kind_from_delta(delta: float, band: float) -> AlgebraKind:
-    if abs(delta) <= band:
-        return AlgebraKind.DEGENERATE
-    return AlgebraKind.FIELD if delta < 0 else AlgebraKind.HYPERBOLIC
-
-
 def classify(alg: PerplexAlgebra, tol: float = TAU_EQ) -> Classification:
     """Full classification report for an admissible product.
 
@@ -104,7 +101,10 @@ def classify(alg: PerplexAlgebra, tol: float = TAU_EQ) -> Classification:
     params = alg.params
     delta = discriminant(params)
     band = tol * max(1.0, params.max_abs()) ** 4
-    kind = _kind_from_delta(delta, band)
+    if abs(delta) <= band:
+        kind = AlgebraKind.DEGENERATE
+    else:
+        kind = AlgebraKind.FIELD if delta < 0 else AlgebraKind.HYPERBOLIC
 
     A, B = alg.basis_matrices()
     l_j = B @ np.linalg.inv(A)
@@ -179,18 +179,15 @@ def iso_to_model(
 
 
 def _iso_residual(alg: PerplexAlgebra, kind: AlgebraKind, iso: np.ndarray) -> float:
-    """max |phi(x*y) - phi(x) model* phi(y)| over a fixed random sample,
-    relative to the natural quadratic scale of each pair."""
-    rng = np.random.Generator(np.random.Philox(_ISO_CHECK_SEED))
+    """max |phi(x*y) - phi(x) model* phi(y)| over the basis products,
+    each relative to the natural quadratic scale of its pair."""
+    basis = (Perplex(1.0, 0.0), Perplex(0.0, 1.0))
+    images = (Perplex(*iso[:, 0]), Perplex(*iso[:, 1]))
     worst = 0.0
-    for _ in range(_ISO_CHECK_PAIRS):
-        xv, yv = rng.uniform(-1.0, 1.0, size=(2, 2))
-        x, y = Perplex(*xv), Perplex(*yv)
-        px = Perplex(*(iso @ xv))
-        py = Perplex(*(iso @ yv))
-        lhs = Perplex(*(iso @ np.array(alg.mul(x, y).as_tuple())))
-        rhs = model_product(kind, px, py)
-        pair_scale = max(1.0, px.max_norm() * py.max_norm())
+    for i, k in ((0, 0), (0, 1), (1, 1)):
+        lhs = Perplex(*(iso @ np.array(alg.mul(basis[i], basis[k]).as_tuple())))
+        rhs = model_product(kind, images[i], images[k])
+        pair_scale = max(1.0, images[i].max_norm() * images[k].max_norm())
         worst = max(worst, (lhs - rhs).max_norm() / pair_scale)
     return worst
 
@@ -198,61 +195,16 @@ def _iso_residual(alg: PerplexAlgebra, kind: AlgebraKind, iso: np.ndarray) -> fl
 def nilpotent_directions(alg: PerplexAlgebra, tol: float = TAU_EQ) -> list[Perplex]:
     """Unit directions x with x * x = 0.
 
-    Directions (1, t) correspond to common real roots of the two
-    quadratics q_a, q_b; the vertical direction (0, 1) qualifies when
-    both leading coefficients a3, b3 vanish.  Returned vectors have
-    unit euclidean norm and a canonical sign.
+    Empty unless ``classify`` finds the algebra Degenerate; then the one
+    direction is the preimage of the model generator (0, 1) under the
+    isomorphism.  It has unit euclidean norm and a canonical sign.
     """
-    a1, a2, a3 = alg.params.a
-    b1, b2, b3 = alg.params.b
-    m = max(1.0, alg.params.max_abs())
-    band = tol * m
-
-    out: list[Perplex] = []
-    roots = _real_roots((a1, 2.0 * a2, a3), band)
-    for t in roots:
-        qb = b1 + 2.0 * b2 * t + b3 * t * t
-        if abs(qb) <= tol * m * max(1.0, t * t):
-            out.append(_canonical_direction(1.0, t))
-    if abs(a3) <= band and abs(b3) <= band:
-        out.append(Perplex(0.0, 1.0))
-
-    deduped: list[Perplex] = []
-    for d in out:
-        if all((d - q).max_norm() > 1e-7 for q in deduped):
-            deduped.append(d)
-    return deduped
-
-
-def _real_roots(coeffs: tuple[float, float, float], band: float) -> list[float]:
-    """Real roots of c0 + c1 t + c2 t^2 with tolerance-aware degree."""
-    c0, c1, c2 = coeffs
-    if abs(c2) <= band:
-        if abs(c1) <= band:
-            return []
-        return [-c0 / c1]
-    disc = c1 * c1 - 4.0 * c2 * c0
-    scale = max(c1 * c1, abs(4.0 * c2 * c0), 1e-300)
-    if disc < -1e-12 * scale:
+    cls = classify(alg, tol)
+    if cls.kind is not AlgebraKind.DEGENERATE:
         return []
-    disc = max(disc, 0.0)
-    r = np.sqrt(disc)
-    # subtraction-safe quadratic roots
-    if c1 >= 0:
-        q = -(c1 + r) / 2.0
-    else:
-        q = -(c1 - r) / 2.0
-    roots = [q / c2]
-    if abs(q) > 1e-300:
-        roots.append(c0 / q)
-    else:
-        roots.append(-c1 / (2.0 * c2))
-    return roots
-
-
-def _canonical_direction(v1: float, v2: float) -> Perplex:
+    v1, v2 = np.linalg.solve(cls.iso, [0.0, 1.0]).tolist()
     r = float(np.hypot(v1, v2))
     d = Perplex(v1 / r, v2 / r)
     if d.x1 < 0 or (d.x1 == 0 and d.x2 < 0):
         d = -d
-    return d
+    return [d]

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,14 @@ from perplex.algebra import (
     DUAL_BOUNDARY_PARAMS,
     HYPERBOLIC_PARAMS,
     PerplexAlgebra,
+)
+
+
+# The CLI checks start `python -m perplex` subprocesses; point them at
+# this checkout's sources as well, so a plain `pytest` needs no install.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
 

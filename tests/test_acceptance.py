@@ -139,8 +139,8 @@ def test_criterion_02_classification_oracles(announce):
         )
         ok = kinds_ok and worst_iso <= 1e-8 and sq_norm == 0.0 and has_dir
         detail = (
-            f"deltas exact, worst iso residual {worst_iso:.2e} over 100 pairs "
-            f"per case, |(1,-1)^2| = {sq_norm}"
+            f"deltas exact, worst iso residual {worst_iso:.2e} over the basis "
+            f"products, |(1,-1)^2| = {sq_norm}"
         )
     finally:
         announce(2, ok, detail)

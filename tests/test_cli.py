@@ -275,6 +275,25 @@ def test_fiber_cloud_rejects_zero_cloud_size():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "command, poly, extra, message",
+    [
+        ("discriminant", SQUARE_POLY, {"eta": float("nan")}, "eta must be finite and positive"),
+        ("discriminant", SUM_SQUARES, {"epsilon": -1}, "epsilon must be finite and positive"),
+        ("fiber-cloud", SUM_SQUARES, {"epsilon": float("nan"), "c": [0.05, 0.0]},
+         "epsilon must be finite and positive"),
+        ("fiber-count", SQUARE_POLY, {"eta": float("nan")}, "eta must be finite and positive"),
+        ("loja-scan", SQUARE_POLY, {"samples": -5}, "samples must be at least 1, got -5"),
+    ],
+)
+def test_range_checks_exit_one(command, poly, extra, message):
+    payload = {"params": COMPLEX, "poly": poly, **extra}
+    proc = run_cli(command, payload, "--seed", "1")
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_mul_rejects_non_finite_element():
     doc = '{"params": {"a": [1, 0, -1], "b": [0, 1, 0]}, "x": [NaN, 0], "y": [1, 2]}'
     proc = run_cli("mul", text_input=doc)

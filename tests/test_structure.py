@@ -9,11 +9,13 @@ from perplex.algebra import (
     AlgebraParams,
     Perplex,
     PerplexAlgebra,
+    params_from_span,
     sample_valid_params,
 )
-from perplex.errors import DegenerateParams
+from perplex.errors import DegenerateParams, IllConditioned
 from perplex.structure import (
     AlgebraKind,
+    _iso_residual,
     classify,
     discriminant,
     model_identity,
@@ -196,6 +198,67 @@ def test_degenerate_circle_search_matches_directions(dual_alg):
         assert min(
             min((h - d).max_norm(), (h + d).max_norm()) for d in dirs
         ) <= 1e-2
+
+
+def near_dual_params(rng, count):
+    """span{I, M} with M similar to [[lam, 1], [delta, lam]] and |delta|
+    log-uniform in 1e-11..1e-7: algebras at the edge of the degenerate
+    band."""
+    out = []
+    while len(out) < count:
+        lam = rng.uniform(-1.0, 1.0)
+        delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.0, -7.0)
+        p = rng.uniform(-1.0, 1.0, size=(2, 2))
+        if abs(np.linalg.det(p)) < 0.1:
+            continue
+        mat = p @ np.array([[lam, 1.0], [delta, lam]]) @ np.linalg.inv(p)
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        basis = np.column_stack([u, mat @ u])
+        if abs(np.linalg.det(basis)) < 0.1:
+            continue
+        hit = params_from_span(mat, basis)
+        if hit is not None:
+            out.append(hit[0])
+    return out
+
+
+def test_nilpotents_exactly_when_degenerate():
+    checked = 0
+    for params in near_dual_params(philox(1961), 200):
+        alg = PerplexAlgebra(params)
+        try:
+            kind = classify(alg).kind
+            dirs = nilpotent_directions(alg)
+        except IllConditioned:
+            continue
+        checked += 1
+        assert bool(dirs) == (kind is AlgebraKind.DEGENERATE), params
+        for d in dirs:
+            assert alg.mul(d, d).max_norm() <= 1e-6
+    assert checked >= 150
+
+
+def test_near_dual_pinned_case_has_its_nilpotent():
+    alg = PerplexAlgebra(
+        AlgebraParams(
+            (0.22604926633443342, 0.7346512311538725, 1.0),
+            (-0.02239463395987604, -0.03048335456363716, 0.38546156125411574),
+        )
+    )
+    assert classify(alg).kind is AlgebraKind.DEGENERATE
+    (d,) = nilpotent_directions(alg)
+    assert d.euclid_norm() == pytest.approx(1.0, abs=1e-15)
+    assert alg.mul(d, d).max_norm() <= 1e-6
+
+
+def test_iso_residual_sees_a_small_corruption():
+    rng = philox(6021)
+    for _ in range(20):
+        alg = PerplexAlgebra(sample_valid_params(rng))
+        c = classify(alg)
+        bent = c.iso + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert _iso_residual(alg, c.kind, bent) >= 1e-7
 
 
 def test_model_product_shapes():
