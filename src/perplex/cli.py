@@ -118,6 +118,13 @@ def _load_element(data: dict, key: str) -> Perplex:
     return x
 
 
+def _load_int(data: dict, key: str, default: int | None = None) -> int:
+    raw = _get(data, key) if default is None else data.get(key, default)
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise CliError(f"{key!r} must be an integer, got {json.dumps(raw)}")
+    return raw
+
+
 def _load_polymap(data: dict) -> PolyMap:
     try:
         return PolyMap.from_dict(_get(data, "map"))
@@ -191,10 +198,8 @@ def _cmd_conj(data, args, tols):
 def _cmd_pow(data, args, tols):
     alg = _load_algebra(data, tols["eq"])
     x = _load_element(data, "x")
-    raw = _get(data, "k")
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise CliError("exponent k must be an integer")
-    return _json_text({"result": list(alg.power(x, raw).as_tuple())}), 0
+    k = _load_int(data, "k")
+    return _json_text({"result": list(alg.power(x, k).as_tuple())}), 0
 
 
 def _cmd_conic(data, args, tols):
@@ -259,10 +264,10 @@ def _cmd_fit_linear(data, args, tols):
 
 def _cmd_approx_linear(data, args, tols):
     mat = _load_matrix(data)
-    raw = data.get("count", 5)
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
+    count = _load_int(data, "count", 5)
+    if count < 1:
         raise CliError("count must be a positive integer")
-    seq = approx_linear_sequence(mat, raw, tols["fit"])
+    seq = approx_linear_sequence(mat, count, tols["fit"])
     steps = [
         {
             "J": [float(v) for v in m.reshape(-1)],
@@ -337,7 +342,7 @@ def _cmd_loja_scan(data, args, tols):
     f = _load_poly(data)
     r_min = float(data.get("rMin", 1e-6))
     r_max = float(data.get("rMax", 1e-1))
-    samples = int(data.get("samples", 10000))
+    samples = _load_int(data, "samples", 10000)
     fit = loja_scan(f, alg, r_min, r_max, samples, seed)
     return _json_text(fit.to_dict()), 0
 
@@ -351,7 +356,7 @@ def _cmd_fiber_count(data, args, tols):
         alg,
         eta=float(data.get("eta", 0.05)),
         epsilon=float(data.get("epsilon", 1.0)),
-        probes_per_component=int(data.get("probes", 8)),
+        probes_per_component=_load_int(data, "probes", 8),
         seed=seed,
     )
     payload = report.to_dict()
@@ -370,7 +375,7 @@ def _cmd_fiber_cloud(data, args, tols):
         alg,
         c,
         epsilon=float(data.get("epsilon", 1.0)),
-        cloud_size=int(data.get("cloudSize", 4096)),
+        cloud_size=_load_int(data, "cloudSize", 4096),
         seed=seed,
     )
     print(_json_text(cloud.to_dict()), end="", file=sys.stderr)

@@ -13,24 +13,16 @@ constancy must still hold piecewise, and the refinement keeps probe
 regions away from the directions where inverse images degenerate.  For
 a field algebra the cone is the origin alone and nothing changes.
 
-One-variable maps are solved in the model algebra.  The isomorphism
-from ``classify`` carries f = sum c_k x^k term by term into the model.
-Onto C, f becomes one complex polynomial P: its fibers are the roots
-of P - w and its discriminant is the finite set P(roots of P').  Onto
-R + R, f splits as (p1(s), p2(t)): its fibers are the pairs of real
-roots, and its discriminant is the axis-parallel segments
-{p1(s*)} x p2(J) and p1(J) x {p2(t*)}, where s* and t* are the real
-critical points and J is the part of their critical line inside the
-source box.  Roots are carried back and polished by Newton in the
-original coordinates; segments are carried back and sampled at raster
-density.  The dual numbers have no finite model solve here and are
-rejected.
-
-Two-variable fibers are surfaces, sampled as point clouds by
-Gauss-Newton projection and summarized by a single-linkage
-connectivity estimate (a diagnostic, not certified topology); their
-discriminant is sampled by one batched Gauss-Newton solve of the
-rank-drop system over all seeds.
+Every map is solved in the model algebra: the isomorphism from
+``classify`` carries f term by term onto one complex polynomial P
+(Field) or a pair of real polynomials (p1(s), p2(t)) (Hyperbolic).  The
+real Jacobian drops rank exactly where grad P = 0, or grad p1 = 0 or
+grad p2 = 0, so Field discriminants are finite sets and Hyperbolic ones
+lines parallel to the model axes.  One-variable fibers are model roots,
+carried back and Newton-polished; two-variable fibers are surfaces,
+sampled as point clouds by minimum-norm Gauss-Newton projection and
+summarized by a single-linkage connectivity estimate (a diagnostic, not
+certified topology).  Dual numbers have no finite model and are rejected.
 """
 
 from __future__ import annotations
@@ -38,14 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .algebra import Perplex, PerplexAlgebra
 from .calculus import PolyMap
 from .errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
-from .multivar import PerplexPolyN
+from .multivar import PerplexPolyN, partial_derivative
 from .realpoly import RealPoly
 from .structure import AlgebraKind, Classification, classify
 
@@ -60,7 +49,7 @@ _MASK_DILATION = 2
 _MAX_HALVINGS = 6
 _CONSISTENCY_CELLS = 3.0
 _CLOUD_SEEDS = 4096
-_NULLVEC_SEEDS = 96
+_CRITICAL_SEEDS = 96
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -96,12 +85,19 @@ class _Model:
     jac_polys: list[list[RealPoly]]
 
 
+def _model_terms(f: PerplexPolyN, iso: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f's exponents (terms, nvars) and model coefficient rows (2, terms)."""
+    exps = np.array([exp for exp, _ in f.terms], dtype=int).reshape(-1, f.nvars)
+    coeffs = [iso @ np.array(c.as_tuple()) for _, c in f.terms]
+    return exps, np.array(coeffs).reshape(-1, 2).T
+
+
 def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
     cls = _nondegenerate(alg)
-    degree = max((exp[0] for exp, _ in f.terms), default=0)
+    exps, terms = _model_terms(f, cls.iso)
+    degree = int(exps.max(initial=0))
     coeffs = np.zeros((2, degree + 1))
-    for (k,), c in f.terms:
-        coeffs[:, degree - k] = cls.iso @ np.array(c.as_tuple())
+    coeffs[:, degree - exps[:, 0]] = terms
     expansion = f.to_polymap(alg)
     return _Model(
         kind=cls.kind,
@@ -153,10 +149,29 @@ def _jacobian_polys(m: PolyMap) -> list[list[RealPoly]]:
     return [[m.u.pderiv(k) for k in range(dim)], [m.v.pderiv(k) for k in range(dim)]]
 
 
-def _eval_jacobian(jp: list[list[RealPoly]], pts: np.ndarray) -> np.ndarray:
-    """Batched Jacobians, shape (N, 2, dim)."""
-    rows = [np.stack([p.eval_many(pts) for p in row], axis=1) for row in jp]
-    return np.stack(rows, axis=1)
+def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Minimum-norm Newton steps J^T (J J^T)^-1 r for a stack of 2 x dim
+    Jacobians, zero where J J^T is singular to working precision."""
+    gram = jac @ jac.transpose(0, 2, 1)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2
+    det[det <= 1e-14 * (gram[:, 0, 0] + gram[:, 1, 1]) ** 2] = np.inf
+    adjugate = gram[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    y = np.einsum("nij,nj->ni", adjugate, res) / det[:, None]
+    return np.einsum("nki,nk->ni", jac, y)
+
+
+def _newton(
+    m: PolyMap, jp: list[list[RealPoly]], pts: np.ndarray, target: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``steps`` minimum-norm Newton steps from pts toward m = target,
+    stopping once every residual is at most 1e-14.  Returns the points
+    and their residual max-norms."""
+    for step in range(steps + 1):
+        res = m.eval_many(pts) - target
+        if step == steps or np.abs(res).max() <= 1e-14:
+            return pts, np.abs(res).max(axis=1)
+        rows = [np.stack([p.eval_many(pts) for p in row], axis=1) for row in jp]
+        pts = pts - _min_norm_step(np.stack(rows, axis=1), res)
 
 
 def critical_values(
@@ -168,29 +183,38 @@ def critical_values(
 ) -> np.ndarray:
     """Discriminant samples: the critical set pushed through the map.
 
-    One-variable maps are solved in the model algebra: the critical
-    values in the source box are exact, and the hyperbolic segments are
-    sampled at most 0.45 raster cells apart, which keeps the rasterized
-    discriminant gap-free.  Maps in more variables fall back to
-    sampling the rank-drop system (a left null vector of the Jacobian)
-    by batched Gauss-Newton from seeded starts, which yields a cloud
-    without curve structure.
-    Points are returned inside a slightly padded eta box.  ``epsilon``
-    and ``eta`` must be finite and positive.
+    Field critical values are points; Hyperbolic ones are segments
+    parallel to the model axes, sampled at most 0.45 raster cells apart
+    so that the rasterized discriminant is gap-free.  One-variable maps
+    are solved exactly.  In more variables Newton from ``seed``'s starts
+    finds the critical points whose critical set meets the epsilon ball,
+    and a Hyperbolic one w* adds the whole line {p_k = p_k(w*)}.  Points
+    are returned inside a slightly padded eta box.  ``epsilon`` and
+    ``eta`` must be finite and positive.
     """
     _check_positive("epsilon", epsilon)
     _check_positive("eta", eta)
     if f.nvars == 1:
         return _discriminant(_model(f, alg), epsilon, eta)
-    _nondegenerate(alg)
-    expansion = f.to_polymap(alg)
-    return _critical_values_nullvec(
-        expansion, _jacobian_polys(expansion), epsilon, eta, seed
-    )
+    return _discriminant_nvar(f, _nondegenerate(alg), epsilon, eta, seed)
+
+
+def _segment(
+    base: np.ndarray, step: np.ndarray, lo: float, hi: float, eta: float
+) -> np.ndarray:
+    """Samples of base + tau * step for tau in [lo, hi] inside the padded
+    eta box, at most 0.45 raster cells apart."""
+    seen = _box_interval(base, step, 1.35 * eta) or (np.inf, -np.inf)
+    lo, hi = max(lo, seen[0]), min(hi, seen[1])
+    if lo > hi:
+        return np.empty((0, 2))
+    spacing = _SEGMENT_SPACING * 2.0 * eta / _TARGET_RES
+    length = (hi - lo) * np.linalg.norm(step)
+    taus = np.linspace(lo, hi, int(np.ceil(length / spacing)) + 1)
+    return base + taus[:, None] * step
 
 
 def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
-    bound = 1.35 * eta
     degree = model.coeffs.shape[1] - 1
     deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
     inv = model.inv
@@ -200,9 +224,8 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
         crit = crit[np.abs(sources).max(axis=1) <= epsilon]
         vals = np.polyval(_complex(model.coeffs), crit)
         targets = np.column_stack([vals.real, vals.imag]) @ inv.T
-        return targets[np.abs(targets).max(axis=1) <= bound]
+        return targets[np.abs(targets).max(axis=1) <= 1.35 * eta]
 
-    spacing = _SEGMENT_SPACING * 2.0 * eta / _TARGET_RES
     turns = [np.roots(d).real for d in deriv]
     segments = [np.empty((0, 2))]
     for axis, other in ((0, 1), (1, 0)):
@@ -218,62 +241,59 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
             cand = np.concatenate([j_range, t[(t > j_range[0]) & (t < j_range[1])]])
             vals = np.polyval(model.coeffs[other], cand)
             base = np.polyval(model.coeffs[axis], s_star) * inv[:, axis]
-            seen = _box_interval(base, inv[:, other], bound)
-            if seen is None:
-                continue
-            lo, hi = max(vals.min(), seen[0]), min(vals.max(), seen[1])
-            if lo > hi:
-                continue
-            length = (hi - lo) * np.linalg.norm(inv[:, other])
-            taus = np.linspace(lo, hi, int(np.ceil(length / spacing)) + 1)
-            segments.append(base + taus[:, None] * inv[:, other])
+            segments.append(_segment(base, inv[:, other], vals.min(), vals.max(), eta))
     return np.vstack(segments)
 
 
-def _critical_values_nullvec(
-    expansion: PolyMap,
-    jac_polys: list[list[RealPoly]],
-    epsilon: float,
-    eta: float,
-    seed: int,
-) -> np.ndarray:
-    """Critical values from r(x, v) = [J(x)^T v, v.v - 1] = 0.
+def _poly_eval(exps: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k prod_i w_i^exps_ki at each row of w."""
+    return (coeffs * np.prod(w[:, None, :] ** exps, axis=2)).sum(axis=1)
 
-    All seeds run one batched Gauss-Newton with the analytic Jacobian
-    of r: the x-block is sum_i v_i H_i(x) for the Hessians H_i of the
-    two components, the v-block J^T, and the last row (0, 2 v^T).  Each
-    step is the minimum-norm one from the pseudo-inverse.
-    """
-    dim = 2 * expansion.nvars
-    hess_polys = [[p.pderiv(k) for k in range(dim)] for row in jac_polys for p in row]
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    starts = []
-    for _ in range(_NULLVEC_SEEDS):
-        x0 = rng.uniform(-epsilon, epsilon, size=dim)
-        v0 = rng.normal(size=2)
-        v0 /= np.linalg.norm(v0)
-        starts.append(np.concatenate([x0, v0]))
-    z = np.array(starts)
-
+def _critical_points(polys: list, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Newton on grad P = 0 from the rows of w, given the n gradient
+    and then the n x n Hessian entries as term lists; the Hessians'
+    pseudo-inverse lets non-isolated critical sets converge."""
+    n = w.shape[1]
     for step in range(_NEWTON_ITERS + 1):
-        x, v = z[:, :dim], z[:, dim:]
-        jac = _eval_jacobian(jac_polys, x)
-        null = np.einsum("nik,ni->nk", jac, v)
-        res = np.column_stack([null, (v * v).sum(axis=1) - 1.0])
-        if step == _NEWTON_ITERS or np.abs(res).max() <= 1e-14:
+        g = np.stack([_poly_eval(*p, w) for p in polys[:n]], axis=1)
+        if step == _NEWTON_ITERS or np.abs(g).max() <= 1e-14:
             break
-        hess = _eval_jacobian(hess_polys, x).reshape(len(z), 2, dim, dim)
-        dr = np.zeros((len(z), dim + 1, dim + 2))
-        dr[:, :dim, :dim] = np.einsum("ni,nikl->nkl", v, hess)
-        dr[:, :dim, dim:] = jac.transpose(0, 2, 1)
-        dr[:, dim, dim:] = 2.0 * v
-        z = z - np.einsum("nij,nj->ni", np.linalg.pinv(dr), res)
+        h = np.stack([_poly_eval(*p, w) for p in polys[n:]], axis=1)
+        w = w - np.einsum("nij,nj->ni", np.linalg.pinv(h.reshape(-1, n, n)), g)
+    return w, np.abs(g).max(axis=1) <= 1e-8
 
-    good = (np.abs(res).max(axis=1) <= 1e-8) & (np.linalg.norm(x, axis=1) <= epsilon)
-    targets = expansion.eval_many(x[good])
-    keep = np.abs(targets).max(axis=1) <= 1.35 * eta
-    return targets[keep]
+
+def _discriminant_nvar(
+    f: PerplexPolyN, cls: Classification, epsilon: float, eta: float, seed: int
+) -> np.ndarray:
+    grad = [partial_derivative(f, i) for i in range(f.nvars)]
+    hess = [partial_derivative(g, j) for g in grad for j in range(f.nvars)]
+    terms = [_model_terms(p, cls.iso) for p in [f, *grad, *hess]]
+    inv = np.linalg.inv(cls.iso)
+    rng = np.random.Generator(np.random.Philox(seed))
+    starts = rng.uniform(-epsilon, epsilon, (_CRITICAL_SEEDS, f.nvars, 2)) @ cls.iso.T
+    if cls.kind is AlgebraKind.FIELD:
+        model = [(e, _complex(c)) for e, c in terms]
+        w, ok = _critical_points(model[1:], starts[..., 0] + 1j * starts[..., 1])
+        ok &= np.linalg.norm(np.stack([w.real, w.imag], 2) @ inv.T, axis=(1, 2)) <= epsilon
+        vals = _poly_eval(*model[0], w[ok])
+        targets = np.column_stack([vals.real, vals.imag]) @ inv.T
+        return targets[np.abs(targets).max(axis=1) <= 1.35 * eta]
+
+    lines = [np.empty((0, 2))]
+    for axis, other in ((0, 1), (1, 0)):
+        a, b = inv[:, axis], inv[:, other]
+        model = [(e, c[axis]) for e, c in terms]
+        w, ok = _critical_points(model[1:], starts[..., axis])
+        # the critical set {w} x R^n comes nearest the origin at this norm
+        near = np.linalg.norm(w, axis=1) * abs(np.linalg.det(inv)) / np.linalg.norm(b)
+        ok &= near <= epsilon
+        vals = np.sort(_poly_eval(*model[0], w[ok]))
+        # seeds drawn to one critical point repeat its line: sample it once
+        new = np.diff(vals, prepend=-np.inf) * np.linalg.norm(a) > 1e-6 * eta / _TARGET_RES
+        lines += [_segment(v * a, b, -np.inf, np.inf, eta) for v in vals[new]]
+    return np.vstack(lines)
 
 
 def fiber_solve(
@@ -308,18 +328,7 @@ def _fibers(model: _Model, c: Perplex, epsilon: float) -> list[Perplex]:
         return []
     pts = pts @ model.inv.T
 
-    expansion = model.expansion
-    for _ in range(_POLISH_STEPS):
-        res = expansion.eval_many(pts) - target
-        jac = _eval_jacobian(model.jac_polys, pts)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        ok = np.abs(det) > 1e-14
-        step = np.zeros_like(pts)
-        step[ok, 0] = (jac[ok, 1, 1] * res[ok, 0] - jac[ok, 0, 1] * res[ok, 1]) / det[ok]
-        step[ok, 1] = (jac[ok, 0, 0] * res[ok, 1] - jac[ok, 1, 0] * res[ok, 0]) / det[ok]
-        pts = pts - step
-
-    res = np.abs(expansion.eval_many(pts) - target).max(axis=1)
+    pts, res = _newton(model.expansion, model.jac_polys, pts, target, _POLISH_STEPS)
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
     roots = pts[good]
     order = np.lexsort((roots[:, 1], roots[:, 0]))
@@ -401,6 +410,7 @@ def _component_reports(
     disc: np.ndarray,
     cone: np.ndarray,
 ) -> tuple[list[ComponentReport], bool]:
+    from scipy import ndimage, spatial
     cell = 2.0 * eta / _TARGET_RES
     centers_axis = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
     mask = np.zeros((_TARGET_RES, _TARGET_RES), dtype=bool)
@@ -421,7 +431,7 @@ def _component_reports(
     rng = np.random.Generator(np.random.Philox(seed))
     reports: list[ComponentReport] = []
     consistent = True
-    sample_tree = cKDTree(samples) if len(samples) else None
+    sample_tree = spatial.cKDTree(samples) if len(samples) else None
     for lab in range(1, ncomp + 1):
         cells = np.argwhere(labels == lab)
         if len(cells) < probes_per_component:
@@ -569,20 +579,21 @@ def fiber_cloud(
     """Sample f^{-1}(c) inside the epsilon ball for a two-variable map.
 
     Random seeds in the ball are projected onto the level set by
-    Gauss-Newton with the pseudo-inverse; converged points inside the
-    ball form the cloud.  Connectivity is estimated by single linkage
-    at five mean nearest-neighbor distances.  The target is flagged as
-    on-discriminant when it sits within two raster cells of the sampled
-    discriminant cloud.  ``epsilon`` must be finite and positive.
+    minimum-norm Gauss-Newton steps; converged points inside the ball
+    form the cloud.  Connectivity is estimated by single linkage at five
+    mean nearest-neighbor distances.  The target is flagged as
+    on-discriminant when it sits within two raster cells of the
+    ``critical_values`` samples at eta 0.05 and the same seed.
+    ``epsilon`` must be finite and positive.
     """
     if f.nvars != 2:
         raise ValueError("cloud sampling needs a two-variable map")
     _check_positive("epsilon", epsilon)
     if cloud_size < 1:
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
-    _nondegenerate(alg)
+    from scipy import sparse, spatial
+    cls = _nondegenerate(alg)
     expansion = f.to_polymap(alg)
-    jac_polys = _jacobian_polys(expansion)
     target = np.array(c.as_tuple())
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -591,15 +602,7 @@ def fiber_cloud(
     radii = epsilon * rng.uniform(0.0, 1.0, size=cloud_size) ** 0.25
     pts = radii[:, None] * dirs
 
-    for _ in range(_NEWTON_ITERS):
-        res = expansion.eval_many(pts) - target
-        if np.abs(res).max() <= 1e-14:
-            break
-        jac = _eval_jacobian(jac_polys, pts)
-        step = np.einsum("nij,nj->ni", np.linalg.pinv(jac), res)
-        pts = pts - step
-
-    res = np.abs(expansion.eval_many(pts) - target).max(axis=1)
+    pts, res = _newton(expansion, _jacobian_polys(expansion), pts, target, _NEWTON_ITERS)
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon)
     cloud = pts[good]
     if len(cloud) == 0:
@@ -611,7 +614,7 @@ def fiber_cloud(
     if len(cloud) == 1:
         connectivity, strays, mean_nn = 1, 0, 0.0
     else:
-        tree = cKDTree(cloud)
+        tree = spatial.cKDTree(cloud)
         nn = tree.query(cloud, k=2)[0][:, 1]
         mean_nn = float(nn.mean())
         pairs = tree.query_pairs(5.0 * mean_nn, output_type="ndarray")
@@ -619,7 +622,7 @@ def fiber_cloud(
             (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
             shape=(len(cloud), len(cloud)),
         )
-        labels = connected_components(graph, directed=False)[1]
+        labels = sparse.csgraph.connected_components(graph, directed=False)[1]
         sizes = np.bincount(labels)
         floor = max(4, int(0.01 * len(cloud)))
         connectivity = int((sizes >= floor).sum())
@@ -628,17 +631,13 @@ def fiber_cloud(
             # cloud too sparse for the size floor; fall back to raw count
             connectivity, strays = len(sizes), 0
 
-    eta_ref = 0.05
-    disc = _critical_values_nullvec(expansion, jac_polys, epsilon, eta_ref, seed)
-    threshold = 2.0 * (2.0 * eta_ref / _TARGET_RES)
-    on_disc = bool(
-        len(disc) and cKDTree(disc).query(target)[0] <= threshold
-    )
+    disc = _discriminant_nvar(f, cls, epsilon, 0.05, seed)
+    near = np.linalg.norm(disc - target, axis=1).min(initial=np.inf)
     return FiberCloud(
         points=cloud,
         residual_max=float(res[good].max()) if good.any() else float("nan"),
         connectivity=connectivity,
         stray_count=strays,
         mean_nn_distance=mean_nn,
-        on_discriminant=on_disc,
+        on_discriminant=bool(near <= 2.0 * (2.0 * 0.05 / _TARGET_RES)),
     )

@@ -253,6 +253,8 @@ def _loja_sample(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Usable (||f||_m, ||grad f||_m) pairs on log-uniform shells."""
+    if not (np.isfinite(r_min) and np.isfinite(r_max)):
+        raise ValueError(f"rMin and rMax must be finite, got {r_min} and {r_max}")
     if not 0.0 < r_min < r_max:
         raise ValueError("need 0 < rMin < rMax")
     if samples < 1:

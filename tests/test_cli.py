@@ -284,6 +284,15 @@ def test_fiber_cloud_rejects_zero_cloud_size():
          "epsilon must be finite and positive"),
         ("fiber-count", SQUARE_POLY, {"eta": float("nan")}, "eta must be finite and positive"),
         ("loja-scan", SQUARE_POLY, {"samples": -5}, "samples must be at least 1, got -5"),
+        ("loja-scan", SQUARE_POLY, {"rMax": float("inf")}, "rMin and rMax must be finite"),
+        ("loja-scan", SQUARE_POLY, {"rMin": float("nan")}, "rMin and rMax must be finite"),
+        ("pow", SQUARE_POLY, {"x": [1, 0], "k": 2.0}, "'k' must be an integer, got 2.0"),
+        ("approx-linear", SQUARE_POLY, {"J": [1, 0, 0, 2], "count": True},
+         "'count' must be an integer, got true"),
+        ("loja-scan", SQUARE_POLY, {"samples": True}, "'samples' must be an integer, got true"),
+        ("fiber-count", SQUARE_POLY, {"probes": 2.7}, "'probes' must be an integer, got 2.7"),
+        ("fiber-cloud", SUM_SQUARES, {"c": [0.05, 0.0], "cloudSize": 64.0},
+         "'cloudSize' must be an integer, got 64.0"),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):
@@ -307,6 +316,15 @@ def test_mul_overflow_exits_one():
     assert proc.returncode == 1
     assert "not finite" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, perplex; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_import_leaves_scipy_optimize_out():

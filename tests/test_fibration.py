@@ -6,6 +6,7 @@ import pytest
 from perplex.algebra import Perplex, PerplexAlgebra
 from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from perplex.fibration import (
+    _min_norm_step,
     critical_values,
     fiber_cloud,
     fiber_solve,
@@ -78,6 +79,43 @@ class TestCriticalValues:
     def test_degenerate_algebra_rejected(self, dual_alg):
         with pytest.raises(DegenerateAlgebra):
             critical_values(square_map(), dual_alg)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[((2, 0), ONE)], [((2, 0), ONE), ((1, 1), Perplex(2.0, 0.0)), ((0, 2), ONE)]],
+        ids=["z1^2", "(z1+z2)^2"],
+    )
+    def test_non_isolated_critical_set_has_value_zero(self, complex_alg, terms):
+        # grad P vanishes on a whole complex line, where P = 0
+        disc = critical_values(PerplexPolyN.from_terms(2, terms), complex_alg, seed=3)
+        assert len(disc) > 0
+        assert np.abs(disc).max() <= 1e-12
+
+    def test_three_variable_map(self, complex_alg, hyperbolic_alg):
+        squares = [((2, 0, 0), ONE), ((0, 2, 0), ONE), ((0, 0, 2), ONE)]
+        f = PerplexPolyN.from_terms(3, squares)
+        disc = critical_values(f, complex_alg, seed=1)
+        assert len(disc) > 0 and np.abs(disc).max() <= 1e-12
+        disc = critical_values(f, hyperbolic_alg, seed=1)
+        model = np.column_stack([disc[:, 0] + disc[:, 1], disc[:, 0] - disc[:, 1]])
+        assert len(disc) > 0 and np.abs(model).min(axis=1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_min_norm_step_matches_pinv(dim):
+    rng = np.random.Generator(np.random.Philox(dim))
+    jac = rng.normal(size=(500, 2, dim))
+    res = rng.normal(size=(500, 2))
+    want = np.einsum("nij,nj->ni", np.linalg.pinv(jac), res)
+    rel = np.linalg.norm(_min_norm_step(jac, res) - want, axis=1) / np.linalg.norm(
+        want, axis=1
+    )
+    # the closed form solves with J J^T, whose condition number is cond(J)^2
+    cond = np.linalg.cond(jac)
+    assert np.all(rel <= 1e-12 * np.maximum(1.0, cond / 30.0) ** 2)
+    singular = np.zeros((2, 2, dim))
+    singular[1, 0, 0] = singular[1, 1, 0] = 1.0
+    assert np.array_equal(_min_norm_step(singular, np.ones((2, 2))), np.zeros((2, dim)))
 
 
 class TestTwoVariableHyperbolicDiscriminant:
@@ -230,6 +268,19 @@ class TestFiberCloud:
 
     def test_critical_target_is_flagged(self, complex_alg):
         cloud = fiber_cloud(sum_of_squares(), complex_alg, Perplex(0.0, 0.0), seed=5)
+        assert cloud.on_discriminant
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("model", [(0.0, 0.03), (0.025, 0.0)])
+    def test_split_targets_on_model_half_axes_are_flagged(
+        self, hyperbolic_alg, model, seed
+    ):
+        # model coordinates (c1 + c2, c1 - c2): a target on a half-axis
+        # away from the origin is a critical value of z1^2 + z2^2
+        c = Perplex((model[0] + model[1]) / 2.0, (model[0] - model[1]) / 2.0)
+        cloud = fiber_cloud(
+            sum_of_squares(), hyperbolic_alg, c, cloud_size=512, seed=seed
+        )
         assert cloud.on_discriminant
 
     def test_unreachable_target_raises(self, complex_alg):
