@@ -125,6 +125,16 @@ def _load_int(data: dict, key: str, default: int | None = None) -> int:
     return raw
 
 
+def _load_float(data: dict, key: str, default: float) -> float:
+    raw = data.get(key, default)
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise CliError(f"{key!r} must be a number, got {json.dumps(raw)}")
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise CliError(f"{key!r} must be finite, got {raw}") from exc
+
+
 def _load_polymap(data: dict) -> PolyMap:
     try:
         return PolyMap.from_dict(_get(data, "map"))
@@ -340,8 +350,8 @@ def _cmd_loja_scan(data, args, tols):
     seed = _require_seed(args)
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
-    r_min = float(data.get("rMin", 1e-6))
-    r_max = float(data.get("rMax", 1e-1))
+    r_min = _load_float(data, "rMin", 1e-6)
+    r_max = _load_float(data, "rMax", 1e-1)
     samples = _load_int(data, "samples", 10000)
     fit = loja_scan(f, alg, r_min, r_max, samples, seed)
     return _json_text(fit.to_dict()), 0
@@ -354,8 +364,8 @@ def _cmd_fiber_count(data, args, tols):
     report = local_triviality_check(
         f,
         alg,
-        eta=float(data.get("eta", 0.05)),
-        epsilon=float(data.get("epsilon", 1.0)),
+        eta=_load_float(data, "eta", 0.05),
+        epsilon=_load_float(data, "epsilon", 1.0),
         probes_per_component=_load_int(data, "probes", 8),
         seed=seed,
     )
@@ -374,7 +384,7 @@ def _cmd_fiber_cloud(data, args, tols):
         f,
         alg,
         c,
-        epsilon=float(data.get("epsilon", 1.0)),
+        epsilon=_load_float(data, "epsilon", 1.0),
         cloud_size=_load_int(data, "cloudSize", 4096),
         seed=seed,
     )
@@ -389,8 +399,8 @@ def _cmd_discriminant(data, args, tols):
     disc = critical_values(
         f,
         alg,
-        epsilon=float(data.get("epsilon", 1.0)),
-        eta=float(data.get("eta", 0.05)),
+        epsilon=_load_float(data, "epsilon", 1.0),
+        eta=_load_float(data, "eta", 0.05),
         seed=seed,
     )
     return _csv_text("c1,c2", disc), 0

@@ -99,24 +99,35 @@ def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
     coeffs = np.zeros((2, degree + 1))
     coeffs[:, degree - exps[:, 0]] = terms
     expansion = f.to_polymap(alg)
-    return _Model(
-        kind=cls.kind,
-        iso=cls.iso,
-        inv=np.linalg.inv(cls.iso),
-        coeffs=coeffs,
-        expansion=expansion,
-        jac_polys=_jacobian_polys(expansion),
-    )
+    inv = np.linalg.inv(cls.iso)
+    return _Model(cls.kind, cls.iso, inv, coeffs, expansion, _jacobian_polys(expansion))
 
 
 def _complex(rows: np.ndarray) -> np.ndarray:
     return rows[0] + 1j * rows[1]
 
 
-def _real_roots(poly: np.ndarray) -> np.ndarray:
-    roots = np.roots(poly)
-    real = np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
-    return roots.real[real]
+def _is_real(roots: np.ndarray) -> np.ndarray:
+    return np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
+
+
+def _roots(head: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """np.roots of head with each of consts appended as its constant term, a row
+    per constant, from stacked companion matrices.  Like np.roots, a zero
+    constant drops the trailing zeros and returns their roots as exact zeros."""
+    head = np.trim_zeros(head, "f")
+    out, zero = np.zeros((len(consts), len(head)), complex), consts == 0
+    for rows, poly in (
+        (~zero, np.column_stack([np.tile(head, (len(consts), 1)), consts])),
+        (zero, np.tile(np.trim_zeros(head, "b"), (len(consts), 1))),
+    ):
+        poly, size = poly[rows], poly.shape[1] - 1
+        if len(poly) and size > 0:
+            comp = np.zeros((len(poly), size, size), poly.dtype)
+            comp[:, 1:, :-1] = np.eye(size - 1)
+            comp[:, 0] = -poly[:, 1:] / poly[:, :1]
+            out[rows, :size] = np.linalg.eigvals(comp)
+    return out
 
 
 def _box_interval(
@@ -161,15 +172,27 @@ def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 
 def _newton(
-    m: PolyMap, jp: list[list[RealPoly]], pts: np.ndarray, target: np.ndarray, steps: int
+    m: PolyMap, jp: list[list[RealPoly]], pts: np.ndarray, target: np.ndarray,
+    steps: int, group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``steps`` minimum-norm Newton steps from pts toward m = target,
-    stopping once every residual is at most 1e-14.  Returns the points
-    and their residual max-norms."""
+    """Up to ``steps`` minimum-norm Newton steps from pts toward m = target (one
+    row, or one per point); a group of points (default: all) stops once its
+    residuals are all at most 1e-14.  Returns the points and residual max-norms."""
+    group = np.zeros(len(pts), dtype=int) if group is None else group
+    target, n = np.broadcast_to(target, (len(pts), 2)), group.max(initial=-1) + 1  # n groups
+    out, res_max, live = pts.copy(), np.empty(len(pts)), np.arange(len(pts))
     for step in range(steps + 1):
         res = m.eval_many(pts) - target
-        if step == steps or np.abs(res).max() <= 1e-14:
-            return pts, np.abs(res).max(axis=1)
+        norm = np.maximum(*np.abs(res).T)  # faster than max(axis=1) on two columns
+        ok = norm <= 1e-14  # a group stops only once all of its points are ok
+        ok = ok & ok.all() if n == 1 else np.bincount(group[~ok], minlength=n)[group] == 0
+        done = ok | (step == steps)
+        if done.any():
+            out[live[done]], res_max[live[done]] = pts[done], norm[done]
+            keep = ~done
+            pts, target, group, live, res = (a[keep] for a in (pts, target, group, live, res))
+        if len(live) == 0:
+            return out, res_max
         rows = [np.stack([p.eval_many(pts) for p in row], axis=1) for row in jp]
         pts = pts - _min_norm_step(np.stack(rows, axis=1), res)
 
@@ -231,7 +254,8 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
     for axis, other in ((0, 1), (1, 0)):
         # critical lines {model coordinate `axis` = s*}, parametrised by
         # the other coordinate; each maps onto one axis-parallel segment
-        for s_star in _real_roots(deriv[axis]):
+        crit = np.roots(deriv[axis])
+        for s_star in crit.real[_is_real(crit)]:
             j_range = _box_interval(s_star * inv[:, axis], inv[:, other], epsilon)
             if j_range is None:
                 continue
@@ -307,36 +331,51 @@ def fiber_solve(
     The roots are solved in the model algebra and carried back, then
     polished by two Newton steps; points are kept when the residual
     max-norm is at most 1e-10, then deduplicated so reported points
-    stay at least 1e-6 apart.
+    stay at least 1e-6 apart.  This is the batched solve behind
+    ``local_triviality_check`` with a single target.
     """
     if f.nvars != 1:
         raise ValueError("finite fiber solving needs a one-variable map")
-    return _fibers(_model(f, alg), c, epsilon)
+    roots, _ = _fibers(_model(f, alg), np.array([c.as_tuple()]), epsilon)
+    return [Perplex(float(x), float(y)) for x, y in roots]
 
 
-def _fibers(model: _Model, c: Perplex, epsilon: float) -> list[Perplex]:
-    target = np.array(c.as_tuple())
-    shifted = model.coeffs.copy()
-    shifted[:, -1] -= model.iso @ target
+def _fibers(
+    model: _Model, targets: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fibers over all rows of targets in one solve: the kept points grouped
+    by target, sorted by coordinates within a group, and the count per target."""
+    consts = model.coeffs[:, -1] - (model.iso @ targets[:, :, None])[:, :, 0]
     if model.kind is AlgebraKind.FIELD:
-        z = np.roots(_complex(shifted))
-        pts = np.column_stack([z.real, z.imag])
-    else:
-        s, t = (_real_roots(row) for row in shifted)
-        pts = np.column_stack([np.repeat(s, len(t)), np.tile(t, len(s))])
-    if len(pts) == 0:
-        return []
-    pts = pts @ model.inv.T
+        z = _roots(_complex(model.coeffs[:, :-1]), _complex(consts.T))
+        w, valid = np.stack([z.real, z.imag], axis=2), np.ones(z.shape, bool)
+    else:  # every pair (s, t) of real model roots, s-major
+        s, t = (_roots(model.coeffs[j, :-1], consts[:, j]) for j in (0, 1))
+        s, t = np.broadcast_arrays(s[:, :, None], t[:, None, :])
+        w, valid = np.stack([s.real, t.real], axis=3), _is_real(s) & _is_real(t)
+    owner, pts = np.nonzero(valid)[0], w[valid]
+    # numpy carries one point by gemv and more by gemm, which round apart;
+    # a product per root count keeps each target's bits as if solved alone
+    per = np.bincount(owner, minlength=len(targets))
+    for k in np.unique(per[per > 0]):
+        rows = per[owner] == k
+        pts[rows] = (pts[rows].reshape(-1, k, 2) @ model.inv.T).reshape(-1, 2)
 
-    pts, res = _newton(model.expansion, model.jac_polys, pts, target, _POLISH_STEPS)
+    pts, res = _newton(
+        model.expansion, model.jac_polys, pts, targets[owner], _POLISH_STEPS, owner
+    )
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
-    roots = pts[good]
-    order = np.lexsort((roots[:, 1], roots[:, 0]))
-    kept: list[np.ndarray] = []
-    for p in roots[order]:
-        if all(np.linalg.norm(p - q) >= _DEDUPE_RADIUS for q in kept):
-            kept.append(p)
-    return [Perplex(float(p[0]), float(p[1])) for p in kept]
+    order = np.lexsort((pts[:, 1], pts[:, 0], owner))
+    order = order[good[order]]
+    counts = np.bincount(owner[order], minlength=len(targets))
+    rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[owner[order]]
+    roots = np.full((len(targets), counts.max(initial=0), 2), np.nan)
+    roots[owner[order], rank] = pts[order]
+    kept = ~np.isnan(roots[:, :, 0])
+    for r in range(1, roots.shape[1]):  # drop a root within 1e-6 of a kept one
+        near = np.linalg.norm(roots[:, :r] - roots[:, r, None], axis=2) < _DEDUPE_RADIUS
+        kept[:, r] &= ~(near & kept[:, :r]).any(axis=1)
+    return roots[kept], kept.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -401,78 +440,74 @@ class FibrationReport:
         }
 
 
+def _mask(samples: np.ndarray, eta: float) -> np.ndarray:
+    """The raster cells of the samples dilated by a disk of radius two
+    cells: the disk's offsets stamped on every distinct sample cell."""
+    ij = np.floor((samples + eta) / (2.0 * eta / _TARGET_RES)).astype(int)
+    ij = ij[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
+    row, col = np.divmod(np.unique(ij[:, 1] * _TARGET_RES + ij[:, 0]), _TARGET_RES)
+    offs = np.arange(-_MASK_DILATION, _MASK_DILATION + 1)
+    di, dj = np.nonzero(offs[:, None] ** 2 + offs[None, :] ** 2 <= _MASK_DILATION**2)
+    # stamp on a grid with a margin as wide as the disk, then cut the margin off
+    mask = np.zeros((_TARGET_RES + len(offs) - 1,) * 2, dtype=bool)
+    mask[row[:, None] + di, col[:, None] + dj] = True
+    return mask[_MASK_DILATION:-_MASK_DILATION, _MASK_DILATION:-_MASK_DILATION]
+
+
+def _rings(labels: np.ndarray, ncomp: int, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per label, the cells of its ring (outside it and 4-adjacent to it)
+    and how many of them are masked.  Two 4-adjacent labelled cells share
+    a label, so the ring cells are the unlabelled neighbours."""
+    index, keys = np.arange(labels.size).reshape(labels.shape), []
+    top, bottom, left, right = np.s_[:-1], np.s_[1:], np.s_[:, :-1], np.s_[:, 1:]
+    for free, nbr in ((bottom, top), (top, bottom), (right, left), (left, right)):
+        hit = (labels[free] == 0) & (labels[nbr] > 0)
+        keys.append(index[free][hit] * (ncomp + 1) + labels[nbr][hit])
+    cell, lab = np.divmod(np.unique(np.concatenate(keys)), ncomp + 1)
+    masked = lab[mask.ravel()[cell]]
+    return np.bincount(lab, minlength=ncomp + 1), np.bincount(masked, minlength=ncomp + 1)
+
+
 def _component_reports(
-    model: _Model,
-    eta: float,
-    epsilon: float,
-    probes_per_component: int,
-    seed: int,
-    disc: np.ndarray,
-    cone: np.ndarray,
+    model: _Model, eta: float, epsilon: float, probes: int, seed: int, samples: np.ndarray
 ) -> tuple[list[ComponentReport], bool]:
-    from scipy import ndimage, spatial
+    """Mask, label and probe the eta disk in a fixed amount of array work: a
+    radius-two disk stamped on every sample cell, one ``ndimage.label``, one
+    pass over the labels for all rings, and one batched solve for all probes."""
+    from scipy import ndimage
     cell = 2.0 * eta / _TARGET_RES
     centers_axis = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
-    mask = np.zeros((_TARGET_RES, _TARGET_RES), dtype=bool)
-    samples = np.vstack([disc, cone]) if len(cone) else disc
-    if len(samples):
-        ij = np.floor((samples + eta) / cell).astype(int)
-        keep = (ij >= 0).all(axis=1) & (ij < _TARGET_RES).all(axis=1)
-        ij = ij[keep]
-        mask[ij[:, 1], ij[:, 0]] = True
-    offs = np.arange(-_MASK_DILATION, _MASK_DILATION + 1)
-    disk_struct = (offs[:, None] ** 2 + offs[None, :] ** 2) <= _MASK_DILATION**2
-    mask = ndimage.binary_dilation(mask, structure=disk_struct)
-
-    cx, cy = np.meshgrid(centers_axis, centers_axis)
-    inside = cx**2 + cy**2 <= eta**2
+    mask = _mask(samples, eta)
+    inside = centers_axis[None, :] ** 2 + centers_axis[:, None] ** 2 <= eta**2
     labels, ncomp = ndimage.label(~mask & inside)
+    sizes = np.bincount(labels.ravel(), minlength=ncomp + 1)
+    thin = np.flatnonzero(sizes[1:] < probes) + 1
+    if len(thin):
+        msg = f"component {thin[0]} spans only {sizes[thin[0]]} cells; need {probes} probes"
+        raise MaskTooCoarse(msg)
 
+    # cells grouped by label, row-major within a label as np.argwhere lists them
+    cells, starts = np.argsort(labels, axis=None, kind="stable"), np.cumsum(sizes) - sizes
     rng = np.random.Generator(np.random.Philox(seed))
-    reports: list[ComponentReport] = []
-    consistent = True
-    sample_tree = spatial.cKDTree(samples) if len(samples) else None
-    for lab in range(1, ncomp + 1):
-        cells = np.argwhere(labels == lab)
-        if len(cells) < probes_per_component:
-            raise MaskTooCoarse(
-                f"component {lab} spans only {len(cells)} cells;"
-                f" need {probes_per_component} probes"
-            )
-        pick = rng.choice(len(cells), size=probes_per_component, replace=False)
-        probes, counts = [], []
-        for row, col in cells[pick]:
-            tgt = (float(centers_axis[col]), float(centers_axis[row]))
-            probes.append(tgt)
-            counts.append(len(_fibers(model, Perplex(*tgt), epsilon)))
-        tally = np.bincount(counts)
-        majority = int(tally.argmax())
-        constant = bool(all(n == counts[0] for n in counts))
-        if not constant and sample_tree is not None:
-            for tgt, n in zip(probes, counts):
-                if n == majority:
-                    continue
-                if sample_tree.query(np.array(tgt))[0] > _CONSISTENCY_CELLS * cell:
-                    consistent = False
-        elif not constant:
-            consistent = False
+    picks = [rng.choice(sizes[lab], probes, replace=False) for lab in range(1, ncomp + 1)]
+    picks = np.array(picks, dtype=int).reshape(ncomp, probes) + starts[1:, None]
+    row, col = np.divmod(cells[picks.ravel()], _TARGET_RES)
+    targets = np.column_stack([centers_axis[col], centers_axis[row]])
+    counts = _fibers(model, targets, epsilon)[1].reshape(ncomp, probes)
+    ring, masked_ring = _rings(labels, ncomp, mask)
 
-        border = labels == lab
-        ring = ndimage.binary_dilation(border) & ~border
-        ring_cells = int(ring.sum())
-        masked_ring = int((ring & mask).sum())
-        low_conf = ring_cells > 0 and masked_ring / ring_cells > 0.5
-        reports.append(
-            ComponentReport(
-                label=lab,
-                cell_count=int(len(cells)),
-                probes=tuple(probes),
-                counts=tuple(counts),
-                constant=constant,
-                majority=majority,
-                low_confidence=low_conf,
-            )
-        )
+    reports, consistent = [], True
+    for lab, at, n in zip(range(1, ncomp + 1), targets.reshape(ncomp, -1, 2), counts):
+        majority = int(np.bincount(n).argmax())
+        # a count off the majority is excused only near the mask's samples
+        for tgt in at[n != majority]:
+            near = np.linalg.norm(samples - tgt, axis=1).min(initial=np.inf)
+            consistent &= bool(near <= _CONSISTENCY_CELLS * cell)
+        low_conf = bool(ring[lab] > 0 and masked_ring[lab] / ring[lab] > 0.5)
+        reports.append(ComponentReport(
+            lab, int(sizes[lab]), tuple(map(tuple, at.tolist())), tuple(n.tolist()),
+            bool((n == n[0]).all()), majority, low_conf,
+        ))
     reports.sort(key=lambda r: -r.cell_count)
     return reports, consistent
 
@@ -488,13 +523,13 @@ def local_triviality_check(
     """Probe fiber-count constancy over the masked punctured disk.
 
     The map is carried into the model algebra once.  Its discriminant
-    and the target zero-divisor cone are rasterized into a mask (dilated
-    by two cells), the unmasked disk is flood-filled into components,
-    and every component is probed with fiber counts at seeded random
-    cells.  When a component is too thin to probe or a count
-    disagreement appears away from the mask, eta is halved and the
-    check rerun, up to six times.  ``epsilon`` and ``eta`` must be
-    finite and positive.
+    and the target zero-divisor cone are rasterized into a mask (a disk
+    of radius two cells stamped on each sample), the unmasked disk is
+    flood-filled into components, and seeded random cells of all
+    components are probed with fiber counts in one batched model solve.
+    When a component is too thin to probe or a count disagreement
+    appears away from the mask, eta is halved and the check rerun, up to
+    six times.  ``epsilon`` and ``eta`` must be finite and positive.
     """
     if f.nvars != 1:
         raise ValueError("triviality probing with fiber counts needs one variable")
@@ -508,37 +543,25 @@ def local_triviality_check(
             f"probes_per_component must be at least 1, got {probes_per_component}"
         )
 
-    last_error: MaskTooCoarse | None = None
-    report: FibrationReport | None = None
-    cur_eta = eta
+    report, error = None, None
     for halving in range(_MAX_HALVINGS + 1):
-        disc = _discriminant(model, epsilon, cur_eta)
-        cone = _cone_samples(model, cur_eta)
+        cur_eta = eta * 0.5**halving
+        disc, cone = _discriminant(model, epsilon, cur_eta), _cone_samples(model, cur_eta)
         try:
             comps, consistent = _component_reports(
-                model, cur_eta, epsilon, probes_per_component, seed, disc, cone
+                model, cur_eta, epsilon, probes_per_component, seed, np.vstack([disc, cone])
             )
         except MaskTooCoarse as exc:
-            last_error = exc
-            cur_eta *= 0.5
+            error = exc
             continue
         report = FibrationReport(
-            algebra_kind=model.kind.value,
-            epsilon=epsilon,
-            eta=cur_eta,
-            components=tuple(comps),
-            discriminant_samples=disc,
-            cone_samples=cone,
-            consistent=consistent,
-            halvings=halving,
+            model.kind.value, epsilon, cur_eta, tuple(comps), disc, cone, consistent, halving
         )
         if consistent:
             return report
-        cur_eta *= 0.5
-    if report is not None:
-        return report
-    assert last_error is not None
-    raise last_error
+    if report is None:
+        raise error
+    return report
 
 
 @dataclass(frozen=True)
@@ -633,11 +656,5 @@ def fiber_cloud(
 
     disc = _discriminant_nvar(f, cls, epsilon, 0.05, seed)
     near = np.linalg.norm(disc - target, axis=1).min(initial=np.inf)
-    return FiberCloud(
-        points=cloud,
-        residual_max=float(res[good].max()) if good.any() else float("nan"),
-        connectivity=connectivity,
-        stray_count=strays,
-        mean_nn_distance=mean_nn,
-        on_discriminant=bool(near <= 2.0 * (2.0 * 0.05 / _TARGET_RES)),
-    )
+    on_disc = bool(near <= 2.0 * (2.0 * 0.05 / _TARGET_RES))
+    return FiberCloud(cloud, float(res[good].max()), connectivity, strays, mean_nn, on_disc)

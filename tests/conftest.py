@@ -9,7 +9,9 @@ from perplex.algebra import (
     DUAL_BOUNDARY_PARAMS,
     HYPERBOLIC_PARAMS,
     PerplexAlgebra,
+    sample_valid_params,
 )
+from perplex.structure import classify
 
 
 # The CLI checks start `python -m perplex` subprocesses; point them at
@@ -23,6 +25,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 def philox(seed: int) -> np.random.Generator:
     """Counter-based generator so every test stream is splittable."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def algebra_of_kind(rng: np.random.Generator, kind) -> PerplexAlgebra:
+    """The first draw of ``sample_valid_params`` that classifies as kind."""
+    for _ in range(100):
+        alg = PerplexAlgebra(sample_valid_params(rng))
+        if classify(alg).kind is kind:
+            return alg
+    raise AssertionError(f"no {kind.value} algebra in 100 draws")
 
 
 @pytest.fixture

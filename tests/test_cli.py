@@ -293,6 +293,16 @@ def test_fiber_cloud_rejects_zero_cloud_size():
         ("fiber-count", SQUARE_POLY, {"probes": 2.7}, "'probes' must be an integer, got 2.7"),
         ("fiber-cloud", SUM_SQUARES, {"c": [0.05, 0.0], "cloudSize": 64.0},
          "'cloudSize' must be an integer, got 64.0"),
+        ("fiber-count", SQUARE_POLY, {"eta": [1]}, "'eta' must be a number, got [1]"),
+        ("fiber-count", SQUARE_POLY, {"eta": True}, "'eta' must be a number, got true"),
+        ("discriminant", SQUARE_POLY, {"epsilon": {"x": 1}},
+         "'epsilon' must be a number, got {\"x\": 1}"),
+        ("discriminant", SQUARE_POLY, {"epsilon": "1"}, "'epsilon' must be a number, got \"1\""),
+        ("fiber-cloud", SUM_SQUARES, {"c": [0.05, 0.0], "epsilon": None},
+         "'epsilon' must be a number, got null"),
+        ("loja-scan", SQUARE_POLY, {"rMax": None}, "'rMax' must be a number, got null"),
+        ("loja-scan", SQUARE_POLY, {"rMin": "1e-6"}, "'rMin' must be a number, got \"1e-6\""),
+        ("loja-scan", SQUARE_POLY, {"rMax": 10**400}, "'rMax' must be finite"),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):
@@ -320,6 +330,24 @@ def test_mul_overflow_exits_one():
 
 def test_import_leaves_scipy_out():
     code = "import sys, perplex; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_fiber_count_leaves_scipy_spatial_out():
+    # the one-variable check finds nearest samples without a KD-tree
+    code = (
+        "import sys\n"
+        "from perplex.algebra import COMPLEX_PARAMS, Perplex, PerplexAlgebra\n"
+        "from perplex.fibration import local_triviality_check\n"
+        "from perplex.multivar import PerplexPolyN\n"
+        "f = PerplexPolyN.from_terms(1, [((2,), Perplex(1.0, 0.0))])\n"
+        "local_triviality_check(f, PerplexAlgebra(COMPLEX_PARAMS), seed=3)\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )

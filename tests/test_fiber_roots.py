@@ -11,20 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from perplex.algebra import Perplex, PerplexAlgebra, random_elements, sample_valid_params
+from perplex.algebra import Perplex, random_elements
 from perplex.fibration import fiber_solve, local_triviality_check
 from perplex.multivar import PerplexPolyN, partial_derivative
-from perplex.structure import AlgebraKind, classify
+from perplex.structure import AlgebraKind
 
-from conftest import philox
-
-
-def _algebra_of_kind(rng: np.random.Generator, kind: AlgebraKind) -> PerplexAlgebra:
-    for _ in range(100):
-        alg = PerplexAlgebra(sample_valid_params(rng))
-        if classify(alg).kind is kind:
-            return alg
-    raise AssertionError(f"no {kind.value} algebra in 100 draws")
+from conftest import algebra_of_kind, philox
 
 
 def _regular_point(rng, alg, f) -> Perplex | None:
@@ -42,7 +34,7 @@ def _regular_point(rng, alg, f) -> Perplex | None:
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_fiber_solve_finds_known_root(kind, seed):
     rng = philox(seed)
-    alg = _algebra_of_kind(rng, kind)
+    alg = algebra_of_kind(rng, kind)
     degree = int(rng.integers(1, 5))
     coeffs = random_elements(rng, degree + 1)
     f = PerplexPolyN.from_terms(1, [((k,), c) for k, c in enumerate(coeffs)])

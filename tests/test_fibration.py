@@ -3,16 +3,31 @@
 import numpy as np
 import pytest
 
-from perplex.algebra import Perplex, PerplexAlgebra
+from perplex.algebra import (
+    COMPLEX_PARAMS,
+    HYPERBOLIC_PARAMS,
+    Perplex,
+    PerplexAlgebra,
+    random_elements,
+)
 from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from perplex.fibration import (
+    _TARGET_RES,
+    _fibers,
+    _mask,
     _min_norm_step,
+    _model,
+    _rings,
+    _roots,
     critical_values,
     fiber_cloud,
     fiber_solve,
     local_triviality_check,
 )
 from perplex.multivar import PerplexPolyN
+from perplex.structure import AlgebraKind, classify
+
+from conftest import algebra_of_kind, philox
 
 ONE = Perplex(1.0, 0.0)
 
@@ -116,6 +131,122 @@ def test_min_norm_step_matches_pinv(dim):
     singular = np.zeros((2, 2, dim))
     singular[1, 0, 0] = singular[1, 1, 0] = 1.0
     assert np.array_equal(_min_norm_step(singular, np.ones((2, 2))), np.zeros((2, dim)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mask_and_rings_match_ndimage(seed):
+    from scipy import ndimage
+
+    rng = philox(seed)
+    eta = 0.05
+    cell = 2.0 * eta / _TARGET_RES
+    # rays from the origin cut the disk into sectors; scattered points
+    # reach past the grid, and the edge points sit in its first and last
+    # cells or just outside them
+    rays = [
+        np.linspace(0.0, 1.5 * eta, 400)[:, None] * [np.cos(a), np.sin(a)]
+        for a in rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(0, 5)))
+    ]
+    scattered = rng.uniform(-1.3 * eta, 1.3 * eta, (int(rng.integers(0, 300)), 2))
+    along = rng.uniform(-eta, eta, 40)
+    edge = [
+        np.column_stack([np.full(40, x), along])[:, ::flip]
+        for x in (-eta, -eta + 0.5 * cell, eta - 0.5 * cell, eta, -eta - 0.5 * cell)
+        for flip in (1, -1)
+    ]
+    samples = np.vstack([np.empty((0, 2)), *rays, scattered, *edge])
+
+    ij = np.floor((samples + eta) / cell).astype(int)
+    ij = ij[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
+    cells = np.zeros((_TARGET_RES, _TARGET_RES), dtype=bool)
+    cells[ij[:, 1], ij[:, 0]] = True
+    offs = np.arange(-2, 3)
+    disk = offs[:, None] ** 2 + offs[None, :] ** 2 <= 4
+    mask = _mask(samples, eta)
+    assert np.array_equal(mask, ndimage.binary_dilation(cells, structure=disk))
+
+    centers = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
+    cx, cy = np.meshgrid(centers, centers)
+    labels, ncomp = ndimage.label(~mask & (cx**2 + cy**2 <= eta**2))
+    ring, masked = _rings(labels, ncomp, mask)
+    assert len(ring) == len(masked) == ncomp + 1
+    for lab in range(1, ncomp + 1):
+        inside = labels == lab
+        want = ndimage.binary_dilation(inside) & ~inside
+        assert ring[lab] == want.sum()
+        assert masked[lab] == (want & mask).sum()
+    assert np.array_equal(_mask(np.empty((0, 2)), eta), np.zeros_like(mask))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_batched_roots_match_np_roots(dtype):
+    rng = philox(3 if dtype is float else 4)
+    for degree in range(1, 7):
+        for _ in range(20):
+            head = rng.normal(size=degree).astype(dtype)
+            if dtype is complex:
+                head += 1j * rng.normal(size=degree)
+            # leading zeros lower the degree, trailing ones meet zero constants
+            head[: rng.integers(0, degree)] = 0.0
+            head[degree - rng.integers(0, degree) :] = 0.0
+            consts = rng.normal(size=6).astype(dtype)
+            consts[rng.integers(0, 6, 2)] = 0.0
+            got = _roots(head, consts)
+            for row, c in zip(got, consts):
+                want = np.roots(np.append(head, c))
+                assert len(row) == len(np.trim_zeros(head, "f"))
+                assert np.array_equal(row[: len(want)], want) and not row[len(want) :].any()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [AlgebraKind.FIELD, AlgebraKind.HYPERBOLIC])
+def test_batched_fibers_match_single_target(kind, degree):
+    rng = philox(10 * degree + (kind is AlgebraKind.FIELD))
+    alg = algebra_of_kind(rng, kind)
+    coeffs = random_elements(rng, degree + 1)
+    f = PerplexPolyN.from_terms(1, [((k,), c) for k, c in enumerate(coeffs)])
+    # the target f(0) leaves a zero model constant, for which np.roots
+    # drops the trailing zeros
+    targets = np.vstack(
+        [rng.uniform(-0.5, 0.5, (40, 2)), coeffs[0].as_tuple(), (0.0, 0.0)]
+    )
+    _assert_batch_matches_singles(f, alg, targets)
+
+
+def _assert_batch_matches_singles(f, alg, targets):
+    roots, counts = _fibers(_model(f, alg), targets, 1.0)
+    singles = [fiber_solve(f, alg, Perplex(*map(float, c))) for c in targets]
+    assert counts.tolist() == [len(s) for s in singles]
+    want = np.array([r.as_tuple() for s in singles for r in s]).reshape(-1, 2)
+    assert np.array_equal(roots, want)
+    return roots, counts
+
+
+def test_batched_fibers_match_single_target_edge_cases():
+    # a Hyperbolic map whose second model row has degree 1: u maps to the
+    # first model axis, so p2 = v2 x only
+    alg = PerplexAlgebra(HYPERBOLIC_PARAMS)
+    u = np.linalg.solve(classify(alg).iso, [1.0, 0.0])
+    f = PerplexPolyN.from_terms(1, [((2,), Perplex(*u)), ((1,), Perplex(0.3, -0.2))])
+    assert _model(f, alg).coeffs[1, 0] == 0.0
+    rng = philox(7)
+    _, counts = _assert_batch_matches_singles(f, alg, rng.uniform(-0.2, 0.2, (40, 2)))
+    assert set(counts.tolist()) >= {0, 2}
+
+    # over C the square's model roots of 0.3 + 0.1i already meet 1e-14, so
+    # that target is not polished while its neighbours are; the
+    # left-wedge target of the split-complex square has no roots at all
+    square = PerplexPolyN.from_terms(1, [((2,), Perplex(1.0, 0.0))])
+    targets = np.vstack([rng.uniform(-0.4, 0.4, (20, 2)), (0.3, 0.1), (-0.03, 0.01)])
+    complex_alg = PerplexAlgebra(COMPLEX_PARAMS)
+    roots, counts = _assert_batch_matches_singles(square, complex_alg, targets)
+    z = np.roots([1.0, 0.0, -(0.3 + 0.1j)])
+    exact = np.column_stack([z.real, z.imag])[np.lexsort((z.imag, z.real))]
+    end = counts[:21].sum()
+    assert np.array_equal(roots[end - 2 : end], exact)
+    split_alg = PerplexAlgebra(HYPERBOLIC_PARAMS)
+    _, counts = _assert_batch_matches_singles(square, split_alg, targets)
+    assert counts[-1] == 0
 
 
 class TestTwoVariableHyperbolicDiscriminant:
