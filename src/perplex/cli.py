@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,6 +86,31 @@ def _get(data: dict, key: str):
     return data[key]
 
 
+def _non_finite(raw):
+    """The first number in raw, searched through lists and objects, that is
+    not a finite float (NaN, Infinity, 1e400 or an integer past the float
+    range), or None."""
+    if isinstance(raw, dict):
+        raw = list(raw.values())
+    if isinstance(raw, list):
+        return next((bad for bad in map(_non_finite, raw) if bad is not None), None)
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            return None if math.isfinite(raw) else raw
+        except OverflowError:
+            return raw
+    return None
+
+
+def _get_finite(data: dict, key: str):
+    """data[key], which must hold finite numbers only."""
+    raw = _get(data, key)
+    bad = _non_finite(raw)
+    if bad is not None:
+        raise CliError(f"{key!r} must hold finite numbers only, got {json.dumps(bad)}")
+    return raw
+
+
 def _load_params(data: dict) -> AlgebraParams:
     raw = _get(data, "params")
     try:
@@ -137,20 +163,20 @@ def _load_float(data: dict, key: str, default: float) -> float:
 
 def _load_polymap(data: dict) -> PolyMap:
     try:
-        return PolyMap.from_dict(_get(data, "map"))
+        return PolyMap.from_dict(_get_finite(data, "map"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"could not parse polynomial map: {exc}") from exc
 
 
 def _load_poly(data: dict) -> PerplexPolyN:
     try:
-        return PerplexPolyN.from_dict(_get(data, "poly"))
+        return PerplexPolyN.from_dict(_get_finite(data, "poly"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"could not parse polynomial: {exc}") from exc
 
 
 def _load_matrix(data: dict) -> np.ndarray:
-    raw = _get(data, "J")
+    raw = _get_finite(data, "J")
     try:
         flat = np.asarray([float(v) for v in raw], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -300,9 +326,11 @@ def _cmd_fit_quad(data, args, tols):
 
 def _cmd_approx_quad(data, args, tols):
     m = _load_polymap(data)
-    eps = data.get("eps", 1e-3)
+    eps = _load_float(data, "eps", 1e-3)
+    if not math.isfinite(eps):
+        raise CliError(f"'eps' must be finite, got {eps}")
     try:
-        repaired = approx_quadratic(m, float(eps), tols["fit"])
+        repaired = approx_quadratic(m, eps, tols["fit"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     dist = max((repaired.u - m.u).max_coeff(), (repaired.v - m.v).max_coeff())

@@ -18,11 +18,13 @@ Every map is solved in the model algebra: the isomorphism from
 (Field) or a pair of real polynomials (p1(s), p2(t)) (Hyperbolic).  The
 real Jacobian drops rank exactly where grad P = 0, or grad p1 = 0 or
 grad p2 = 0, so Field discriminants are finite sets and Hyperbolic ones
-lines parallel to the model axes.  One-variable fibers are model roots,
-carried back and Newton-polished; two-variable fibers are surfaces,
-sampled as point clouds by minimum-norm Gauss-Newton projection and
-summarized by a single-linkage connectivity estimate (a diagnostic, not
-certified topology).  Dual numbers have no finite model and are rejected.
+lines parallel to the model axes.  By the Cauchy-Riemann structure the
+Jacobian's x_i2 columns are j times its x_i1 columns, so Newton evaluates
+only the x_i1 partials.  One-variable fibers are model roots, carried
+back and Newton-polished; two-variable fibers are surfaces, sampled as
+point clouds by minimum-norm Gauss-Newton projection and summarized by a
+single-linkage connectivity estimate (a diagnostic, not certified
+topology).  Dual numbers have no finite model and are rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .algebra import Perplex, PerplexAlgebra
 from .calculus import PolyMap
 from .errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from .multivar import PerplexPolyN, partial_derivative
-from .realpoly import RealPoly
 from .structure import AlgebraKind, Classification, classify
 
 _TARGET_RES = 256
@@ -74,7 +75,8 @@ class _Model:
     Row j of ``coeffs`` holds the j-th model coordinate of the
     coefficients, highest degree first (numpy's order): for Field the
     complex polynomial is row 0 + i * row 1, for Hyperbolic the rows are
-    p1 and p2.  ``inv`` carries model points back to the algebra.
+    p1 and p2.  ``inv`` carries model points back to the algebra, and the
+    x_i1 ``partials`` with ``l_j`` give the Newton Jacobian (``_jacobian``).
     """
 
     kind: AlgebraKind
@@ -82,7 +84,8 @@ class _Model:
     inv: np.ndarray
     coeffs: np.ndarray
     expansion: PolyMap
-    jac_polys: list[list[RealPoly]]
+    partials: list[PolyMap]
+    l_j: np.ndarray
 
 
 def _model_terms(f: PerplexPolyN, iso: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +101,8 @@ def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
     degree = int(exps.max(initial=0))
     coeffs = np.zeros((2, degree + 1))
     coeffs[:, degree - exps[:, 0]] = terms
-    expansion = f.to_polymap(alg)
-    inv = np.linalg.inv(cls.iso)
-    return _Model(cls.kind, cls.iso, inv, coeffs, expansion, _jacobian_polys(expansion))
+    m, inv = f.to_polymap(alg), np.linalg.inv(cls.iso)
+    return _Model(cls.kind, cls.iso, inv, coeffs, m, _x1_partials(m), cls.l_j)
 
 
 def _complex(rows: np.ndarray) -> np.ndarray:
@@ -155,9 +157,19 @@ def _cone_samples(model: _Model, eta: float) -> np.ndarray:
     return np.vstack([radii[:, None] * d[None, :] for d in dirs.T])
 
 
-def _jacobian_polys(m: PolyMap) -> list[list[RealPoly]]:
-    dim = 2 * m.nvars
-    return [[m.u.pderiv(k) for k in range(dim)], [m.v.pderiv(k) for k in range(dim)]]
+def _x1_partials(m: PolyMap) -> list[PolyMap]:
+    return [PolyMap(m.nvars, m.u.pderiv(2 * i), m.v.pderiv(2 * i)) for i in range(m.nvars)]
+
+
+def _apply(mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """mat @ p per row p of pts, in bits that do not depend on the row count."""
+    return pts[:, :1] * mat[:, 0] + pts[:, 1:] * mat[:, 1]
+
+
+def _jacobian(partials: list[PolyMap], l_j: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (points, 2, 2n) real Jacobians; column x_i2 is L_j times column x_i1."""
+    cols = [p.eval_many(pts) for p in partials]
+    return np.stack([c for col in cols for c in (col, _apply(l_j, col))], axis=2)
 
 
 def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -172,29 +184,22 @@ def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 
 def _newton(
-    m: PolyMap, jp: list[list[RealPoly]], pts: np.ndarray, target: np.ndarray,
-    steps: int, group: np.ndarray | None = None,
+    m: PolyMap, partials: list[PolyMap], l_j: np.ndarray, pts: np.ndarray,
+    target: np.ndarray, steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``steps`` minimum-norm Newton steps from pts toward m = target (one
-    row, or one per point); a group of points (default: all) stops once its
-    residuals are all at most 1e-14.  Returns the points and residual max-norms."""
-    group = np.zeros(len(pts), dtype=int) if group is None else group
-    target, n = np.broadcast_to(target, (len(pts), 2)), group.max(initial=-1) + 1  # n groups
-    out, res_max, live = pts.copy(), np.empty(len(pts)), np.arange(len(pts))
+    """The points after up to ``steps`` minimum-norm Newton steps toward m = target
+    (one row, or one per point), and their residual max-norms; a point stops once
+    its norm is at most 1e-14.  J's x_i2 columns are j times its x_i1 columns."""
+    target, pts = np.broadcast_to(target, (len(pts), 2)), pts.copy()
+    live, norm = np.arange(len(pts)), np.empty(len(pts))
     for step in range(steps + 1):
-        res = m.eval_many(pts) - target
-        norm = np.maximum(*np.abs(res).T)  # faster than max(axis=1) on two columns
-        ok = norm <= 1e-14  # a group stops only once all of its points are ok
-        ok = ok & ok.all() if n == 1 else np.bincount(group[~ok], minlength=n)[group] == 0
-        done = ok | (step == steps)
-        if done.any():
-            out[live[done]], res_max[live[done]] = pts[done], norm[done]
-            keep = ~done
-            pts, target, group, live, res = (a[keep] for a in (pts, target, group, live, res))
-        if len(live) == 0:
-            return out, res_max
-        rows = [np.stack([p.eval_many(pts) for p in row], axis=1) for row in jp]
-        pts = pts - _min_norm_step(np.stack(rows, axis=1), res)
+        res = m.eval_many(pts[live]) - target[live]
+        norm[live] = np.maximum(*np.abs(res).T)  # faster than max(axis=1) on two columns
+        keep = norm[live] > 1e-14
+        live, res = live[keep], res[keep]
+        if step == steps or len(live) == 0:
+            return pts, norm
+        pts[live] -= _min_norm_step(_jacobian(partials, l_j, pts[live]), res)
 
 
 def critical_values(
@@ -353,16 +358,9 @@ def _fibers(
         s, t = (_roots(model.coeffs[j, :-1], consts[:, j]) for j in (0, 1))
         s, t = np.broadcast_arrays(s[:, :, None], t[:, None, :])
         w, valid = np.stack([s.real, t.real], axis=3), _is_real(s) & _is_real(t)
-    owner, pts = np.nonzero(valid)[0], w[valid]
-    # numpy carries one point by gemv and more by gemm, which round apart;
-    # a product per root count keeps each target's bits as if solved alone
-    per = np.bincount(owner, minlength=len(targets))
-    for k in np.unique(per[per > 0]):
-        rows = per[owner] == k
-        pts[rows] = (pts[rows].reshape(-1, k, 2) @ model.inv.T).reshape(-1, 2)
-
+    owner, pts = np.nonzero(valid)[0], _apply(model.inv, w[valid])
     pts, res = _newton(
-        model.expansion, model.jac_polys, pts, targets[owner], _POLISH_STEPS, owner
+        model.expansion, model.partials, model.l_j, pts, targets[owner], _POLISH_STEPS
     )
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
     order = np.lexsort((pts[:, 1], pts[:, 0], owner))
@@ -616,16 +614,14 @@ def fiber_cloud(
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
     from scipy import sparse, spatial
     cls = _nondegenerate(alg)
-    expansion = f.to_polymap(alg)
-    target = np.array(c.as_tuple())
+    m, target = f.to_polymap(alg), np.array(c.as_tuple())
 
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.normal(size=(cloud_size, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = epsilon * rng.uniform(0.0, 1.0, size=cloud_size) ** 0.25
     pts = radii[:, None] * dirs
-
-    pts, res = _newton(expansion, _jacobian_polys(expansion), pts, target, _NEWTON_ITERS)
+    pts, res = _newton(m, _x1_partials(m), cls.l_j, pts, target, _NEWTON_ITERS)
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon)
     cloud = pts[good]
     if len(cloud) == 0:
@@ -641,10 +637,7 @@ def fiber_cloud(
         nn = tree.query(cloud, k=2)[0][:, 1]
         mean_nn = float(nn.mean())
         pairs = tree.query_pairs(5.0 * mean_nn, output_type="ndarray")
-        graph = sparse.csr_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-            shape=(len(cloud), len(cloud)),
-        )
+        graph = sparse.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(len(cloud),) * 2)
         labels = sparse.csgraph.connected_components(graph, directed=False)[1]
         sizes = np.bincount(labels)
         floor = max(4, int(0.01 * len(cloud)))

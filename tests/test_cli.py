@@ -313,6 +313,48 @@ def test_range_checks_exit_one(command, poly, extra, message):
     assert proc.stdout == ""
 
 
+_PARAMS_TEXT = '"params": {"a": [1, 0, -1], "b": [0, 1, 0]}'
+_POINT_MAP = '"map": {"nvars": 1, "u": [{"exp": [1, 0], "c": %s}], "v": [{"exp": [0, 1], "c": 1}]}'
+_POINT_POLY = '"poly": {"nvars": %d, "terms": [{"exp": %s, "c": %s}]}'
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("gcr-check", _POINT_MAP % "NaN", "map"),
+        ("grad", _POINT_POLY % (1, "[2]", "[0, NaN]") + ', "point": [[1, 0]]', "poly"),
+        ("discriminant", _POINT_POLY % (1, "[2]", "[Infinity, 0]"), "poly"),
+        ("fit-linear", '"J": [1e400, 0, 0, 1]', "J"),
+        ("fiber-cloud", _POINT_POLY % (2, "[1, 1]", "[1, NaN]") + ', "c": [0.05, 0]', "poly"),
+        ("fiber-count", _POINT_POLY % (1, "[2]", "[NaN, 0]"), "poly"),
+    ],
+    ids=["gcr-check", "grad", "discriminant", "fit-linear", "fiber-cloud", "fiber-count"],
+)
+def test_non_finite_numbers_exit_one(command, body, key):
+    proc = run_cli(command, None, "--seed", "1", text_input="{%s, %s}" % (_PARAMS_TEXT, body))
+    assert proc.returncode == 1
+    assert f"error: {key!r} must hold finite numbers only" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        ([1], "'eps' must be a number, got [1]"),
+        ("0.1", "'eps' must be a number, got \"0.1\""),
+        (True, "'eps' must be a number, got true"),
+        (float("nan"), "'eps' must be finite, got nan"),
+        (float("inf"), "'eps' must be finite, got inf"),
+    ],
+)
+def test_approx_quad_eps_must_be_a_finite_number(eps, message):
+    squares = {"nvars": 1, "u": [{"exp": [2, 0], "c": 1}], "v": [{"exp": [0, 2], "c": 1}]}
+    proc = run_cli("approx-quad", {"map": squares, "eps": eps})
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
 def test_mul_rejects_non_finite_element():
     doc = '{"params": {"a": [1, 0, -1], "b": [0, 1, 0]}, "x": [NaN, 0], "y": [1, 2]}'
     proc = run_cli("mul", text_input=doc)

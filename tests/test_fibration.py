@@ -8,17 +8,21 @@ from perplex.algebra import (
     HYPERBOLIC_PARAMS,
     Perplex,
     PerplexAlgebra,
+    params_from_span,
     random_elements,
 )
 from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from perplex.fibration import (
     _TARGET_RES,
     _fibers,
+    _jacobian,
     _mask,
     _min_norm_step,
     _model,
+    _newton,
     _rings,
     _roots,
+    _x1_partials,
     critical_values,
     fiber_cloud,
     fiber_solve,
@@ -131,6 +135,64 @@ def test_min_norm_step_matches_pinv(dim):
     singular = np.zeros((2, 2, dim))
     singular[1, 0, 0] = singular[1, 1, 0] = 1.0
     assert np.array_equal(_min_norm_step(singular, np.ones((2, 2))), np.zeros((2, dim)))
+
+
+def _dual_algebra(rng) -> PerplexAlgebra:
+    """A random dual-number algebra: span{I, M} with M a conjugated Jordan block."""
+    while True:
+        basis = rng.uniform(-1.0, 1.0, (2, 2))
+        if abs(np.linalg.det(basis)) < 0.3:
+            continue
+        lam = rng.uniform(-1.0, 1.0)
+        mat = basis @ np.array([[lam, 1.0], [0.0, lam]]) @ np.linalg.inv(basis)
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        span = np.column_stack([u, mat @ u])
+        hit = params_from_span(mat, span) if abs(np.linalg.det(span)) >= 0.1 else None
+        if hit is not None and hit[1] >= 1e-3:
+            return PerplexAlgebra(hit[0])
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_x2_partials_are_j_times_x1_partials(kind, nvars):
+    # the generalized Cauchy-Riemann structure e2 * f_x1 = e1 * f_x2 makes
+    # every x_i2 column of the real Jacobian L_j times its x_i1 column
+    rng = philox(100 * nvars + list(AlgebraKind).index(kind))
+    for _ in range(5):
+        alg = _dual_algebra(rng) if kind is AlgebraKind.DEGENERATE else algebra_of_kind(rng, kind)
+        cls = classify(alg)
+        assert cls.kind is kind
+        exps = rng.integers(0, 3, (6, nvars))
+        f = PerplexPolyN.from_terms(nvars, zip(map(tuple, exps), random_elements(rng, 6)))
+        m = f.to_polymap(alg)
+        pts = rng.uniform(-1.0, 1.0, (50, 2 * nvars))
+        full = np.stack(
+            [np.stack([p.pderiv(k).eval_many(pts) for k in range(2 * nvars)], axis=1)
+             for p in (m.u, m.v)],
+            axis=1,
+        )
+        scale = 1e-12 * max(1.0, np.abs(full).max())
+        for i in range(nvars):
+            x1 = np.column_stack([m.u.pderiv(2 * i).eval_many(pts), m.v.pderiv(2 * i).eval_many(pts)])
+            assert np.abs(full[:, :, 2 * i + 1] - x1 @ cls.l_j.T).max() <= scale
+        assert np.abs(_jacobian(_x1_partials(m), cls.l_j, pts) - full).max() <= scale
+
+
+def test_newton_stops_each_point_on_its_own(complex_alg):
+    # the exact model root of z^2 = 0.3 + 0.1i already meets 1e-14, but a
+    # step would still move its last bits; batched with a start that needs
+    # steps, it must come back untouched
+    m = square_map().to_polymap(complex_alg)
+    target = np.array([0.3, 0.1])
+    z = np.roots([1.0, 0.0, -(0.3 + 0.1j)])[0]
+    root = np.array([z.real, z.imag])
+    assert 0.0 < np.abs(m.eval_many(root) - target).max() <= 1e-14
+    pts = np.vstack([root, root + 1e-3])
+    out, res = _newton(m, _x1_partials(m), classify(complex_alg).l_j, pts, target, 2)
+    assert np.array_equal(out[0], root) and np.array_equal(pts[0], root)
+    assert res[0] <= 1e-14 < res[1] <= 1e-10
+    assert np.linalg.norm(out[1] - root) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(8))
