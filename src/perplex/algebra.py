@@ -285,13 +285,17 @@ class PerplexAlgebra:
 
     # -- arithmetic -------------------------------------------------
 
-    def mul(self, x: Perplex, y: Perplex) -> Perplex:
+    def product(self, x1, x2, y1, y2):
+        """(x1, x2) * (y1, y2) with coordinates in floats, arrays or ``RealPoly``."""
         a1, a2, a3 = self._a
         b1, b2, b3 = self._b
-        p = x.x1 * y.x1
-        q = x.x1 * y.x2 + x.x2 * y.x1
-        r = x.x2 * y.x2
-        return Perplex(a1 * p + a2 * q + a3 * r, b1 * p + b2 * q + b3 * r)
+        p = x1 * y1
+        q = x1 * y2 + x2 * y1
+        r = x2 * y2
+        return a1 * p + a2 * q + a3 * r, b1 * p + b2 * q + b3 * r
+
+    def mul(self, x: Perplex, y: Perplex) -> Perplex:
+        return Perplex(*self.product(x.x1, x.x2, y.x1, y.x2))
 
     def norm(self, x: Perplex) -> float:
         """The multiplicative quadratic form N with N(x*y) = N(x)N(y)."""

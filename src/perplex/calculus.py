@@ -102,23 +102,6 @@ def linear_polymap(mat: np.ndarray) -> PolyMap:
     return PolyMap(1, x1 * mat[0, 0] + x2 * mat[0, 1], x1 * mat[1, 0] + x2 * mat[1, 1])
 
 
-def pair_product(
-    alg: PerplexAlgebra,
-    p: tuple[RealPoly, RealPoly],
-    q: tuple[RealPoly, RealPoly],
-) -> tuple[RealPoly, RealPoly]:
-    """Algebra product of two polynomial-valued elements."""
-    a1, a2, a3 = alg.params.a
-    b1, b2, b3 = alg.params.b
-    uu = p[0] * q[0]
-    cross = p[0] * q[1] + p[1] * q[0]
-    vv = p[1] * q[1]
-    return (
-        uu * a1 + cross * a2 + vv * a3,
-        uu * b1 + cross * b2 + vv * b3,
-    )
-
-
 # ------------------------------------------------------------------ #
 # compatibility residual and derivatives
 # ------------------------------------------------------------------ #

@@ -43,7 +43,6 @@ from .fibration import critical_values, fiber_cloud, local_triviality_check
 from .multivar import PerplexPolyN, gradient, is_critical, loja_scan
 from .structure import classify
 
-_STOCHASTIC = {"loja-scan", "fiber-count", "fiber-cloud", "discriminant"}
 _KNOWN_TOLS = {"eq", "fit", "critical"}
 
 
@@ -133,15 +132,21 @@ def _load_algebra(data: dict, tol: float) -> PerplexAlgebra:
     return PerplexAlgebra(params)
 
 
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _is_pair(raw) -> bool:
+    return isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw))
+
+
 def _load_element(data: dict, key: str) -> Perplex:
     raw = _get(data, key)
-    try:
-        x = Perplex.from_seq([float(v) for v in raw])
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"element {key!r} must be a pair of numbers") from exc
-    if not all(np.isfinite(x.as_tuple())):
-        raise CliError(f"element {key!r} must be finite, got {list(x.as_tuple())}")
-    return x
+    if not _is_pair(raw):
+        raise CliError(f"element {key!r} must be a pair of numbers")
+    if _non_finite(raw) is not None:
+        raise CliError(f"element {key!r} must be finite, got {json.dumps(raw)}")
+    return Perplex.from_seq(raw)
 
 
 def _load_int(data: dict, key: str, default: int | None = None) -> int:
@@ -153,7 +158,7 @@ def _load_int(data: dict, key: str, default: int | None = None) -> int:
 
 def _load_float(data: dict, key: str, default: float) -> float:
     raw = data.get(key, default)
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+    if not _is_number(raw):
         raise CliError(f"{key!r} must be a number, got {json.dumps(raw)}")
     try:
         return float(raw)
@@ -348,14 +353,12 @@ def _cmd_approx_quad(data, args, tols):
 
 
 def _load_point(data: dict, nvars: int) -> list[Perplex]:
-    raw = _get(data, "point")
-    try:
-        pts = [Perplex.from_seq([float(v) for v in pair]) for pair in raw]
-    except (TypeError, ValueError) as exc:
-        raise CliError("point must be a list of coordinate pairs") from exc
-    if len(pts) != nvars:
-        raise CliError(f"point has {len(pts)} coordinates, map has {nvars}")
-    return pts
+    raw = _get_finite(data, "point")
+    if not (isinstance(raw, list) and all(map(_is_pair, raw))):
+        raise CliError("point must be a list of coordinate pairs")
+    if len(raw) != nvars:
+        raise CliError(f"point has {len(raw)} coordinates, map has {nvars}")
+    return [Perplex.from_seq(pair) for pair in raw]
 
 
 def _cmd_grad(data, args, tols):

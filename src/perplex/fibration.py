@@ -18,13 +18,14 @@ Every map is solved in the model algebra: the isomorphism from
 (Field) or a pair of real polynomials (p1(s), p2(t)) (Hyperbolic).  The
 real Jacobian drops rank exactly where grad P = 0, or grad p1 = 0 or
 grad p2 = 0, so Field discriminants are finite sets and Hyperbolic ones
-lines parallel to the model axes.  By the Cauchy-Riemann structure the
-Jacobian's x_i2 columns are j times its x_i1 columns, so Newton evaluates
-only the x_i1 partials.  One-variable fibers are model roots, carried
-back and Newton-polished; two-variable fibers are surfaces, sampled as
-point clouds by minimum-norm Gauss-Newton projection and summarized by a
-single-linkage connectivity estimate (a diagnostic, not certified
-topology).  Dual numbers have no finite model and are rejected.
+lines parallel to the model axes.  Newton evaluates f and its perplex
+partials and, by the generalized Cauchy-Riemann structure, takes the
+Jacobian's x_ij column as e_j times the i-th partial.  One-variable fibers
+are model roots, carried back and Newton-polished; two-variable fibers are
+surfaces, sampled as point clouds by minimum-norm Gauss-Newton projection
+and summarized by a single-linkage connectivity estimate (a diagnostic,
+not certified topology).  Dual numbers have no finite model and are
+rejected.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Perplex, PerplexAlgebra
-from .calculus import PolyMap
 from .errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
-from .multivar import PerplexPolyN, partial_derivative
+from .multivar import PerplexPolyN, partial_derivative, real_jacobian
 from .structure import AlgebraKind, Classification, classify
 
 _TARGET_RES = 256
@@ -75,17 +75,15 @@ class _Model:
     Row j of ``coeffs`` holds the j-th model coordinate of the
     coefficients, highest degree first (numpy's order): for Field the
     complex polynomial is row 0 + i * row 1, for Hyperbolic the rows are
-    p1 and p2.  ``inv`` carries model points back to the algebra, and the
-    x_i1 ``partials`` with ``l_j`` give the Newton Jacobian (``_jacobian``).
+    p1 and p2.  ``inv`` carries model points back to the algebra.
     """
 
+    f: PerplexPolyN
+    alg: PerplexAlgebra
     kind: AlgebraKind
     iso: np.ndarray
     inv: np.ndarray
     coeffs: np.ndarray
-    expansion: PolyMap
-    partials: list[PolyMap]
-    l_j: np.ndarray
 
 
 def _model_terms(f: PerplexPolyN, iso: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +99,7 @@ def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
     degree = int(exps.max(initial=0))
     coeffs = np.zeros((2, degree + 1))
     coeffs[:, degree - exps[:, 0]] = terms
-    m, inv = f.to_polymap(alg), np.linalg.inv(cls.iso)
-    return _Model(cls.kind, cls.iso, inv, coeffs, m, _x1_partials(m), cls.l_j)
+    return _Model(f, alg, cls.kind, cls.iso, np.linalg.inv(cls.iso), coeffs)
 
 
 def _complex(rows: np.ndarray) -> np.ndarray:
@@ -157,19 +154,9 @@ def _cone_samples(model: _Model, eta: float) -> np.ndarray:
     return np.vstack([radii[:, None] * d[None, :] for d in dirs.T])
 
 
-def _x1_partials(m: PolyMap) -> list[PolyMap]:
-    return [PolyMap(m.nvars, m.u.pderiv(2 * i), m.v.pderiv(2 * i)) for i in range(m.nvars)]
-
-
 def _apply(mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """mat @ p per row p of pts, in bits that do not depend on the row count."""
     return pts[:, :1] * mat[:, 0] + pts[:, 1:] * mat[:, 1]
-
-
-def _jacobian(partials: list[PolyMap], l_j: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The (points, 2, 2n) real Jacobians; column x_i2 is L_j times column x_i1."""
-    cols = [p.eval_many(pts) for p in partials]
-    return np.stack([c for col in cols for c in (col, _apply(l_j, col))], axis=2)
 
 
 def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -184,22 +171,22 @@ def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 
 def _newton(
-    m: PolyMap, partials: list[PolyMap], l_j: np.ndarray, pts: np.ndarray,
-    target: np.ndarray, steps: int,
+    f: PerplexPolyN, alg: PerplexAlgebra, pts: np.ndarray, target: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The points after up to ``steps`` minimum-norm Newton steps toward m = target
+    """The points after up to ``steps`` minimum-norm Newton steps toward f = target
     (one row, or one per point), and their residual max-norms; a point stops once
-    its norm is at most 1e-14.  J's x_i2 columns are j times its x_i1 columns."""
+    its norm is at most 1e-14.  The Jacobian's x_ij column is e_j times the i-th
+    perplex partial, so f is never expanded into real polynomials."""
     target, pts = np.broadcast_to(target, (len(pts), 2)), pts.copy()
     live, norm = np.arange(len(pts)), np.empty(len(pts))
     for step in range(steps + 1):
-        res = m.eval_many(pts[live]) - target[live]
+        res = f.eval_many(alg, pts[live]) - target[live]
         norm[live] = np.maximum(*np.abs(res).T)  # faster than max(axis=1) on two columns
         keep = norm[live] > 1e-14
         live, res = live[keep], res[keep]
         if step == steps or len(live) == 0:
             return pts, norm
-        pts[live] -= _min_norm_step(_jacobian(partials, l_j, pts[live]), res)
+        pts[live] -= _min_norm_step(real_jacobian(f, alg, pts[live]), res)
 
 
 def critical_values(
@@ -359,9 +346,7 @@ def _fibers(
         s, t = np.broadcast_arrays(s[:, :, None], t[:, None, :])
         w, valid = np.stack([s.real, t.real], axis=3), _is_real(s) & _is_real(t)
     owner, pts = np.nonzero(valid)[0], _apply(model.inv, w[valid])
-    pts, res = _newton(
-        model.expansion, model.partials, model.l_j, pts, targets[owner], _POLISH_STEPS
-    )
+    pts, res = _newton(model.f, model.alg, pts, targets[owner], _POLISH_STEPS)
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
     order = np.lexsort((pts[:, 1], pts[:, 0], owner))
     order = order[good[order]]
@@ -614,14 +599,14 @@ def fiber_cloud(
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
     from scipy import sparse, spatial
     cls = _nondegenerate(alg)
-    m, target = f.to_polymap(alg), np.array(c.as_tuple())
+    target = np.array(c.as_tuple())
 
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.normal(size=(cloud_size, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = epsilon * rng.uniform(0.0, 1.0, size=cloud_size) ** 0.25
     pts = radii[:, None] * dirs
-    pts, res = _newton(m, _x1_partials(m), cls.l_j, pts, target, _NEWTON_ITERS)
+    pts, res = _newton(f, alg, pts, target, _NEWTON_ITERS)
     good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon)
     cloud = pts[good]
     if len(cloud) == 0:

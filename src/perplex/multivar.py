@@ -1,12 +1,13 @@
 """Several-variable perplex polynomials and the exponent scanner.
 
 Polynomials here have Perplex coefficients and n algebra variables.
-Formal partial derivatives follow the one-variable coefficient rule,
-the real expansion reuses the pair-product machinery, and criticality
-is decided by the rank of the 2 x 2n real Jacobian.  All partials being
-zero divisors is necessary for a critical point but not sufficient:
-two complementary zero divisors can sum to a unit, so the combination
-test (equivalently the rank test) is the authoritative one.
+They are evaluated, batched, with the algebra's own product; formal
+partials follow the one-variable coefficient rule.  By the generalized
+Cauchy-Riemann structure the 2 x 2n real Jacobian's x_ij column is e_j
+times the i-th partial, and criticality is decided by its rank.  All
+partials being zero divisors is necessary for a critical point but not
+sufficient: two complementary zero divisors can sum to a unit, so the
+combination test (equivalently the rank test) is the authoritative one.
 
 The gradient-inequality scanner samples log-uniform shells around the
 origin, fits a line through the lower envelope of log-gradient versus
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Perplex, PerplexAlgebra
-from .calculus import PolyMap, pair_product
+from .calculus import PolyMap
 from .errors import InsufficientSamples
 from .realpoly import RealPoly
 
@@ -69,16 +70,27 @@ class PerplexPolyN:
         return max((c.max_norm() for _, c in self.terms), default=0.0)
 
     def eval(self, alg: PerplexAlgebra, point: Sequence[Perplex]) -> Perplex:
-        if len(point) != self.nvars:
-            raise ValueError("point arity does not match variable count")
-        total = Perplex(0.0, 0.0)
+        return Perplex(*map(float, self.eval_many(alg, [_coords(point)])[0]))
+
+    def eval_many(self, alg: PerplexAlgebra, points) -> np.ndarray:
+        """Values (N, 2) at an (N, 2n) array of flattened points, elementwise:
+        powers are iterated products, as ``PerplexAlgebra.power`` builds them,
+        and no row's bits depend on another row."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2 * self.nvars:
+            raise ValueError(f"points must have shape (N, {2 * self.nvars})")
+        coords = np.ascontiguousarray(points.T)
+        powers = [[(coords[2 * i], coords[2 * i + 1])] for i in range(self.nvars)]
+        u, v = np.zeros((2, len(points)))
         for exp, c in self.terms:
-            term = c
+            term = c.as_tuple()
             for i, k in enumerate(exp):
+                while len(powers[i]) < k:
+                    powers[i].append(alg.product(*powers[i][-1], *powers[i][0]))
                 if k:
-                    term = alg.mul(term, alg.power(point[i], k))
-            total = total + term
-        return total
+                    term = alg.product(*term, *powers[i][k - 1])
+            u, v = u + term[0], v + term[1]
+        return np.column_stack((u, v))
 
     def to_polymap(self, alg: PerplexAlgebra) -> PolyMap:
         """Real expansion over the 2n flattened coordinates."""
@@ -89,7 +101,7 @@ class PerplexPolyN:
             for i, k in enumerate(exp):
                 var_pair = (RealPoly.var(n2, 2 * i), RealPoly.var(n2, 2 * i + 1))
                 for _ in range(k):
-                    pair = pair_product(alg, pair, var_pair)
+                    pair = alg.product(*pair, *var_pair)
             acc_u = acc_u + pair[0]
             acc_v = acc_v + pair[1]
         return PolyMap(self.nvars, acc_u, acc_v)
@@ -124,21 +136,22 @@ def partial_derivative(f: PerplexPolyN, i: int) -> PerplexPolyN:
     return PerplexPolyN.from_terms(f.nvars, items)
 
 
-def _point_as_perplex(point) -> list[Perplex]:
+def _coords(point) -> np.ndarray:
+    """A point (Perplex elements or flat coordinates) or an (N, 2n) stack."""
     if len(point) and isinstance(point[0], Perplex):
-        return list(point)
-    flat = np.asarray(point, dtype=float).reshape(-1)
-    if flat.size % 2:
-        raise ValueError("flattened point needs an even number of coordinates")
-    return [Perplex(float(flat[k]), float(flat[k + 1])) for k in range(0, flat.size, 2)]
+        point = [c for x in point for c in x.as_tuple()]
+    return np.asarray(point, dtype=float)
 
 
-def gradient(
-    f: PerplexPolyN, alg: PerplexAlgebra, point
-) -> list[Perplex]:
+def _partials(f: PerplexPolyN, alg: PerplexAlgebra, rows: np.ndarray) -> np.ndarray:
+    """The perplex partials at each row of an (N, 2n) array, shape (N, n, 2)."""
+    parts = [partial_derivative(f, i).eval_many(alg, rows) for i in range(f.nvars)]
+    return np.stack(parts, axis=1)
+
+
+def gradient(f: PerplexPolyN, alg: PerplexAlgebra, point) -> list[Perplex]:
     """All perplex partials evaluated at the point."""
-    ps = _point_as_perplex(point)
-    return [partial_derivative(f, i).eval(alg, ps) for i in range(f.nvars)]
+    return [Perplex(*map(float, g)) for g in _partials(f, alg, _coords(point).reshape(1, -1))[0]]
 
 
 def directional_derivative(
@@ -154,22 +167,21 @@ def directional_derivative(
     return total
 
 
-def real_jacobian(
-    f: PerplexPolyN, alg: PerplexAlgebra, point
-) -> np.ndarray:
-    """2 x 2n Jacobian of the real expansion, from the chain rule.
-
-    The column for real coordinate x_{ij} is the basis operator of e_j
-    applied to the i-th perplex partial.
-    """
-    a_op, b_op = alg.basis_matrices()
-    grad = gradient(f, alg, point)
-    cols = []
-    for g in grad:
-        vec = np.array(g.as_tuple())
-        cols.append(a_op @ vec)
-        cols.append(b_op @ vec)
-    return np.column_stack(cols)
+def real_jacobian(f: PerplexPolyN, alg: PerplexAlgebra, point) -> np.ndarray:
+    """2 x 2n Jacobian of the real expansion at a point, or the (N, 2, 2n)
+    Jacobians at each row of an (N, 2n) stack.  By the generalized
+    Cauchy-Riemann structure the column for real coordinate x_ij is the
+    basis operator of e_j applied to the i-th perplex partial."""
+    coords = _coords(point)
+    rows = np.atleast_2d(coords)
+    # entry (r, x_ij) for all points is one gemv, bit for bit op @ partial at each
+    # point alone; a spare zero point keeps one point off ddot, which rounds otherwise
+    padded = np.vstack([rows, np.zeros(rows.shape[1])])
+    grads = [partial_derivative(f, i).eval_many(alg, padded) for i in range(f.nvars)]
+    ops = alg.basis_matrices()
+    cols = [(g @ op[r])[:-1] for r in range(2) for g in grads for op in ops]
+    jac = np.stack(cols, axis=1).reshape(len(rows), 2, 2 * f.nvars)
+    return jac if coords.ndim == 2 else jac[0]
 
 
 @dataclass(frozen=True)
@@ -269,12 +281,8 @@ def _loja_sample(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = radii[:, None] * dirs
 
-    expansion = f.to_polymap(alg)
-    fvals = np.abs(expansion.eval_many(points)).max(axis=1)
-    gvals = np.zeros(samples)
-    for i in range(f.nvars):
-        part = partial_derivative(f, i).to_polymap(alg)
-        gvals = np.maximum(gvals, np.abs(part.eval_many(points)).max(axis=1))
+    fvals = np.abs(f.eval_many(alg, points)).max(axis=1)
+    gvals = np.abs(_partials(f, alg, points)).max(axis=(1, 2))
     usable = (fvals > 0.0) & (fvals < 1.0) & (gvals > 0.0)
     return fvals[usable], gvals[usable]
 

@@ -303,6 +303,11 @@ def test_fiber_cloud_rejects_zero_cloud_size():
         ("loja-scan", SQUARE_POLY, {"rMax": None}, "'rMax' must be a number, got null"),
         ("loja-scan", SQUARE_POLY, {"rMin": "1e-6"}, "'rMin' must be a number, got \"1e-6\""),
         ("loja-scan", SQUARE_POLY, {"rMax": 10**400}, "'rMax' must be finite"),
+        ("mul", SQUARE_POLY, {"x": ["1", 0], "y": [1, 2]},
+         "element 'x' must be a pair of numbers"),
+        ("mul", SQUARE_POLY, {"x": [True, 0], "y": [1, 2]},
+         "element 'x' must be a pair of numbers"),
+        ("grad", SQUARE_POLY, {"point": [["1", 0]]}, "point must be a list of coordinate pairs"),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):
@@ -327,8 +332,13 @@ _POINT_POLY = '"poly": {"nvars": %d, "terms": [{"exp": %s, "c": %s}]}'
         ("fit-linear", '"J": [1e400, 0, 0, 1]', "J"),
         ("fiber-cloud", _POINT_POLY % (2, "[1, 1]", "[1, NaN]") + ', "c": [0.05, 0]', "poly"),
         ("fiber-count", _POINT_POLY % (1, "[2]", "[NaN, 0]"), "poly"),
+        ("critical", _POINT_POLY % (1, "[2]", "[1, 0]") + ', "point": [[NaN, 0]]', "point"),
+        ("grad", _POINT_POLY % (1, "[2]", "[1, 0]") + ', "point": [[1e400, 0]]', "point"),
     ],
-    ids=["gcr-check", "grad", "discriminant", "fit-linear", "fiber-cloud", "fiber-count"],
+    ids=[
+        "gcr-check", "grad", "discriminant", "fit-linear", "fiber-cloud", "fiber-count",
+        "critical-point", "grad-point",
+    ],
 )
 def test_non_finite_numbers_exit_one(command, body, key):
     proc = run_cli(command, None, "--seed", "1", text_input="{%s, %s}" % (_PARAMS_TEXT, body))
@@ -361,6 +371,15 @@ def test_mul_rejects_non_finite_element():
     assert proc.returncode == 1
     assert "element 'x' must be finite" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_grad_takes_exponents_past_64():
+    # the partial 66 z^65 is evaluated by iterated products, with no cap on
+    # the exponent (i^65 = i)
+    poly = {"nvars": 1, "terms": [{"exp": [66], "c": [1, 0]}]}
+    proc = run_cli("grad", {"params": COMPLEX, "poly": poly, "point": [[0, 1]]})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"gradient": [[0.0, 66.0]]}
 
 
 def test_mul_overflow_exits_one():

@@ -15,20 +15,18 @@ from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from perplex.fibration import (
     _TARGET_RES,
     _fibers,
-    _jacobian,
     _mask,
     _min_norm_step,
     _model,
     _newton,
     _rings,
     _roots,
-    _x1_partials,
     critical_values,
     fiber_cloud,
     fiber_solve,
     local_triviality_check,
 )
-from perplex.multivar import PerplexPolyN
+from perplex.multivar import PerplexPolyN, real_jacobian
 from perplex.structure import AlgebraKind, classify
 
 from conftest import algebra_of_kind, philox
@@ -157,7 +155,9 @@ def _dual_algebra(rng) -> PerplexAlgebra:
 @pytest.mark.parametrize("kind", list(AlgebraKind))
 def test_x2_partials_are_j_times_x1_partials(kind, nvars):
     # the generalized Cauchy-Riemann structure e2 * f_x1 = e1 * f_x2 makes
-    # every x_i2 column of the real Jacobian L_j times its x_i1 column
+    # every x_i2 column of the real Jacobian L_j times its x_i1 column, and
+    # lets real_jacobian take column x_ij as e_j times the i-th perplex
+    # partial; the pderiv Jacobian of the real expansion is the reference
     rng = philox(100 * nvars + list(AlgebraKind).index(kind))
     for _ in range(5):
         alg = _dual_algebra(rng) if kind is AlgebraKind.DEGENERATE else algebra_of_kind(rng, kind)
@@ -174,22 +174,25 @@ def test_x2_partials_are_j_times_x1_partials(kind, nvars):
         )
         scale = 1e-12 * max(1.0, np.abs(full).max())
         for i in range(nvars):
-            x1 = np.column_stack([m.u.pderiv(2 * i).eval_many(pts), m.v.pderiv(2 * i).eval_many(pts)])
-            assert np.abs(full[:, :, 2 * i + 1] - x1 @ cls.l_j.T).max() <= scale
-        assert np.abs(_jacobian(_x1_partials(m), cls.l_j, pts) - full).max() <= scale
+            assert np.abs(full[:, :, 2 * i + 1] - full[:, :, 2 * i] @ cls.l_j.T).max() <= scale
+        jac = real_jacobian(f, alg, pts)
+        assert jac.shape == (50, 2, 2 * nvars)
+        assert np.abs(jac - full).max() <= scale
+        for row, p in zip(jac, pts):
+            assert np.array_equal(row, real_jacobian(f, alg, p))
 
 
 def test_newton_stops_each_point_on_its_own(complex_alg):
     # the exact model root of z^2 = 0.3 + 0.1i already meets 1e-14, but a
     # step would still move its last bits; batched with a start that needs
     # steps, it must come back untouched
-    m = square_map().to_polymap(complex_alg)
+    f = square_map()
     target = np.array([0.3, 0.1])
     z = np.roots([1.0, 0.0, -(0.3 + 0.1j)])[0]
     root = np.array([z.real, z.imag])
-    assert 0.0 < np.abs(m.eval_many(root) - target).max() <= 1e-14
+    assert 0.0 < np.abs(f.eval_many(complex_alg, [root]) - target).max() <= 1e-14
     pts = np.vstack([root, root + 1e-3])
-    out, res = _newton(m, _x1_partials(m), classify(complex_alg).l_j, pts, target, 2)
+    out, res = _newton(f, complex_alg, pts, target, 2)
     assert np.array_equal(out[0], root) and np.array_equal(pts[0], root)
     assert res[0] <= 1e-14 < res[1] <= 1e-10
     assert np.linalg.norm(out[1] - root) < 1e-10

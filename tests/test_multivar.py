@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perplex.algebra import Perplex, PerplexAlgebra, sample_valid_params
+from perplex.algebra import (
+    DUAL_BOUNDARY_PARAMS,
+    Perplex,
+    PerplexAlgebra,
+    random_elements,
+    sample_valid_params,
+)
 from perplex.calculus import gcr_residual
 from perplex.errors import InsufficientSamples
 from perplex.multivar import (
@@ -137,6 +145,25 @@ def test_expansion_matches_direct_eval():
         direct = f.eval(alg, p)
         via_map = m.eval_perplex(p)
         assert (direct - via_map).max_norm() <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_eval_many_rows_are_eval_and_match_expansion(seed):
+    rng = philox(seed)
+    params = DUAL_BOUNDARY_PARAMS if rng.random() < 0.2 else sample_valid_params(rng)
+    alg = PerplexAlgebra(params)
+    nvars, count = int(rng.integers(1, 4)), int(rng.integers(0, 7))
+    exps = rng.integers(0, 5, (count, nvars))
+    f = PerplexPolyN.from_terms(nvars, zip(map(tuple, exps), random_elements(rng, count)))
+    pts = rng.uniform(-1.0, 1.0, (20, 2 * nvars))
+    vals = f.eval_many(alg, pts)
+    assert vals.shape == (20, 2)
+    for row, p in zip(vals, pts):
+        point = [Perplex(p[k], p[k + 1]) for k in range(0, 2 * nvars, 2)]
+        assert tuple(row) == f.eval(alg, point).as_tuple()
+    ref = f.to_polymap(alg).eval_many(pts)
+    assert np.abs(vals - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
 
 
 def test_gradient_matches_finite_differences(hyperbolic_alg):
