@@ -113,13 +113,18 @@ def _get_finite(data: dict, key: str):
 def _load_params(data: dict) -> AlgebraParams:
     raw = _get(data, "params")
     try:
-        params = AlgebraParams.from_dict(raw)
-        [float(v) for v in params.a + params.b]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = raw["a"], raw["b"]
+    except (KeyError, TypeError) as exc:
         raise CliError(f"could not parse algebra parameters: {exc}") from exc
-    if len(params.a) != 3 or len(params.b) != 3:
-        raise CliError("parameter triples must each have three entries")
-    return params
+    for key, row in zip("ab", rows):
+        if not (isinstance(row, list) and all(map(_is_number, row))):
+            raise CliError(f"parameter {key!r} must be a list of numbers, got {json.dumps(row)}")
+        if len(row) != 3:
+            raise CliError("parameter triples must each have three entries")
+    try:
+        return AlgebraParams(tuple(rows[0]), tuple(rows[1]))
+    except OverflowError as exc:
+        raise CliError(f"algebra parameters must fit a float: {exc}") from exc
 
 
 def _load_algebra(data: dict, tol: float) -> PerplexAlgebra:
@@ -182,13 +187,11 @@ def _load_poly(data: dict) -> PerplexPolyN:
 
 def _load_matrix(data: dict) -> np.ndarray:
     raw = _get_finite(data, "J")
-    try:
-        flat = np.asarray([float(v) for v in raw], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CliError("J must be a flat list [p, r, q, s]") from exc
-    if flat.shape != (4,):
+    if not (isinstance(raw, list) and all(map(_is_number, raw))):
+        raise CliError(f"J must be a flat list [p, r, q, s] of numbers, got {json.dumps(raw)}")
+    if len(raw) != 4:
         raise CliError("J must have exactly four entries (row-major 2x2)")
-    return flat.reshape(2, 2)
+    return np.array(raw, dtype=float).reshape(2, 2)
 
 
 def _require_seed(args) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import Perplex, PerplexAlgebra
 from .errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
-from .multivar import PerplexPolyN, partial_derivative, real_jacobian
+from .multivar import PerplexPolyN, _evaluate, partial_derivative
 from .structure import AlgebraKind, Classification, classify
 
 _TARGET_RES = 256
@@ -159,15 +159,22 @@ def _apply(mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return pts[:, :1] * mat[:, 0] + pts[:, 1:] * mat[:, 1]
 
 
-def _min_norm_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Minimum-norm Newton steps J^T (J J^T)^-1 r for a stack of 2 x dim
-    Jacobians, zero where J J^T is singular to working precision."""
-    gram = jac @ jac.transpose(0, 2, 1)
-    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2
-    det[det <= 1e-14 * (gram[:, 0, 0] + gram[:, 1, 1]) ** 2] = np.inf
-    adjugate = gram[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    y = np.einsum("nij,nj->ni", adjugate, res) / det[:, None]
-    return np.einsum("nki,nk->ni", jac, y)
+def _min_norm_step(alg: PerplexAlgebra, grads: list, r0: np.ndarray, r1: np.ndarray) -> list:
+    """Minimum-norm Newton steps J^T (J J^T)^-1 r at each point, one array per
+    real coordinate, elementwise.  ``grads`` holds the perplex partials as
+    (u, v) array pairs, and J's x_ij column is e_j times the i-th partial.
+    The step is zero where J J^T is singular to working precision."""
+    ops = [op.tolist() for op in alg.basis_matrices()]
+    cols = [
+        (a * g0 + b * g1, c * g0 + d * g1) for g0, g1 in grads for (a, b), (c, d) in ops
+    ]
+    s00 = sum(c0 * c0 for c0, _ in cols)
+    s01 = sum(c0 * c1 for c0, c1 in cols)
+    s11 = sum(c1 * c1 for _, c1 in cols)
+    det = s00 * s11 - s01 * s01
+    det[det <= 1e-14 * (s00 + s11) ** 2] = np.inf
+    y0, y1 = (s11 * r0 - s01 * r1) / det, (s00 * r1 - s01 * r0) / det
+    return [c0 * y0 + c1 * y1 for c0, c1 in cols]
 
 
 def _newton(
@@ -175,18 +182,22 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The points after up to ``steps`` minimum-norm Newton steps toward f = target
     (one row, or one per point), and their residual max-norms; a point stops once
-    its norm is at most 1e-14.  The Jacobian's x_ij column is e_j times the i-th
-    perplex partial, so f is never expanded into real polynomials."""
-    target, pts = np.broadcast_to(target, (len(pts), 2)), pts.copy()
-    live, norm = np.arange(len(pts)), np.empty(len(pts))
+    its norm is at most 1e-14.  The partials are formed once per call and
+    evaluated, in one shared pass, only at the points that still step."""
+    partials = [partial_derivative(f, i) for i in range(f.nvars)]
+    target = np.broadcast_to(target, (len(pts), 2)).T
+    coords, live, norm = pts.T.copy(), np.arange(len(pts)), np.empty(len(pts))
     for step in range(steps + 1):
-        res = f.eval_many(alg, pts[live]) - target[live]
-        norm[live] = np.maximum(*np.abs(res).T)  # faster than max(axis=1) on two columns
+        x = coords[:, live]
+        u, v = _evaluate([f], alg, x)[0]
+        r0, r1 = u - target[0, live], v - target[1, live]
+        norm[live] = np.maximum(np.abs(r0), np.abs(r1))
         keep = norm[live] > 1e-14
-        live, res = live[keep], res[keep]
-        if step == steps or len(live) == 0:
-            return pts, norm
-        pts[live] -= _min_norm_step(real_jacobian(f, alg, pts[live]), res)
+        if step == steps or not keep.any():
+            return coords.T.copy(), norm
+        live, x = live[keep], x[:, keep]
+        grads = _evaluate(partials, alg, x)
+        coords[:, live] = x - np.array(_min_norm_step(alg, grads, r0[keep], r1[keep]))
 
 
 def critical_values(

@@ -1,8 +1,9 @@
 """Several-variable perplex polynomials and the exponent scanner.
 
 Polynomials here have Perplex coefficients and n algebra variables.
-They are evaluated, batched, with the algebra's own product; formal
-partials follow the one-variable coefficient rule.  By the generalized
+One evaluator computes them with the algebra's own product, on Python
+floats or batched on arrays in the same bits; formal partials follow the
+one-variable coefficient rule.  By the generalized
 Cauchy-Riemann structure the 2 x 2n real Jacobian's x_ij column is e_j
 times the i-th partial, and criticality is decided by its rank.  All
 partials being zero divisors is necessary for a critical point but not
@@ -70,27 +71,17 @@ class PerplexPolyN:
         return max((c.max_norm() for _, c in self.terms), default=0.0)
 
     def eval(self, alg: PerplexAlgebra, point: Sequence[Perplex]) -> Perplex:
-        return Perplex(*map(float, self.eval_many(alg, [_coords(point)])[0]))
+        """The value at one point (Perplex elements or 2n flat coordinates), in
+        Python floats: bit for bit the matching row of ``eval_many``."""
+        return Perplex(*_evaluate([self], alg, _point(point, self.nvars))[0])
 
     def eval_many(self, alg: PerplexAlgebra, points) -> np.ndarray:
-        """Values (N, 2) at an (N, 2n) array of flattened points, elementwise:
-        powers are iterated products, as ``PerplexAlgebra.power`` builds them,
-        and no row's bits depend on another row."""
+        """Values (N, 2) at an (N, 2n) array of flattened points; no row's bits
+        depend on another row."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 * self.nvars:
             raise ValueError(f"points must have shape (N, {2 * self.nvars})")
-        coords = np.ascontiguousarray(points.T)
-        powers = [[(coords[2 * i], coords[2 * i + 1])] for i in range(self.nvars)]
-        u, v = np.zeros((2, len(points)))
-        for exp, c in self.terms:
-            term = c.as_tuple()
-            for i, k in enumerate(exp):
-                while len(powers[i]) < k:
-                    powers[i].append(alg.product(*powers[i][-1], *powers[i][0]))
-                if k:
-                    term = alg.product(*term, *powers[i][k - 1])
-            u, v = u + term[0], v + term[1]
-        return np.column_stack((u, v))
+        return np.column_stack(_evaluate([self], alg, np.ascontiguousarray(points.T))[0])
 
     def to_polymap(self, alg: PerplexAlgebra) -> PolyMap:
         """Real expansion over the 2n flattened coordinates."""
@@ -136,6 +127,34 @@ def partial_derivative(f: PerplexPolyN, i: int) -> PerplexPolyN:
     return PerplexPolyN.from_terms(f.nvars, items)
 
 
+def _evaluate(polys, alg: PerplexAlgebra, coords) -> list[tuple]:
+    """The values (u, v) of each of polys at flattened coordinates: 2n Python
+    floats, or a (2n, N) array.  One cache of the variables' powers, built by
+    iterated products as ``PerplexAlgebra.power`` builds them, serves all
+    polys.  Floats and arrays go through the same IEEE operations in the same
+    order, so a float value is bit for bit the matching array entry."""
+    zero = np.zeros(coords.shape[1]) if isinstance(coords, np.ndarray) else 0.0
+    powers = [[(coords[2 * i], coords[2 * i + 1])] for i in range(len(coords) // 2)]
+    values = []
+    for poly in polys:
+        u = v = zero
+        for exp, c in poly.terms:
+            term = c.as_tuple()
+            for i, k in enumerate(exp):
+                while len(powers[i]) < k:
+                    powers[i].append(alg.product(*powers[i][-1], *powers[i][0]))
+                if k:
+                    term = alg.product(*term, *powers[i][k - 1])
+            u, v = u + term[0], v + term[1]
+        values.append((u, v))
+    return values
+
+
+def _partials(f: PerplexPolyN) -> list[PerplexPolyN]:
+    """The n formal perplex partials of f."""
+    return [partial_derivative(f, i) for i in range(f.nvars)]
+
+
 def _coords(point) -> np.ndarray:
     """A point (Perplex elements or flat coordinates) or an (N, 2n) stack."""
     if len(point) and isinstance(point[0], Perplex):
@@ -143,15 +162,19 @@ def _coords(point) -> np.ndarray:
     return np.asarray(point, dtype=float)
 
 
-def _partials(f: PerplexPolyN, alg: PerplexAlgebra, rows: np.ndarray) -> np.ndarray:
-    """The perplex partials at each row of an (N, 2n) array, shape (N, n, 2)."""
-    parts = [partial_derivative(f, i).eval_many(alg, rows) for i in range(f.nvars)]
-    return np.stack(parts, axis=1)
+def _point(point, nvars: int) -> list[float]:
+    """One point's 2n flat coordinates as Python floats."""
+    coords = _coords(point)
+    if coords.shape != (2 * nvars,):
+        raise ValueError(f"a point must have {2 * nvars} coordinates, got shape {coords.shape}")
+    return coords.tolist()
 
 
 def gradient(f: PerplexPolyN, alg: PerplexAlgebra, point) -> list[Perplex]:
-    """All perplex partials evaluated at the point."""
-    return [Perplex(*map(float, g)) for g in _partials(f, alg, _coords(point).reshape(1, -1))[0]]
+    """All perplex partials evaluated at the point, given in any shape that
+    flattens to its 2n coordinates."""
+    coords = _point(_coords(point).reshape(-1), f.nvars)
+    return [Perplex(*g) for g in _evaluate(_partials(f), alg, coords)]
 
 
 def directional_derivative(
@@ -177,7 +200,7 @@ def real_jacobian(f: PerplexPolyN, alg: PerplexAlgebra, point) -> np.ndarray:
     # entry (r, x_ij) for all points is one gemv, bit for bit op @ partial at each
     # point alone; a spare zero point keeps one point off ddot, which rounds otherwise
     padded = np.vstack([rows, np.zeros(rows.shape[1])])
-    grads = [partial_derivative(f, i).eval_many(alg, padded) for i in range(f.nvars)]
+    grads = [np.column_stack(g) for g in _evaluate(_partials(f), alg, padded.T.copy())]
     ops = alg.basis_matrices()
     cols = [(g @ op[r])[:-1] for r in range(2) for g in grads for op in ops]
     jac = np.stack(cols, axis=1).reshape(len(rows), 2, 2 * f.nvars)
@@ -281,8 +304,8 @@ def _loja_sample(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = radii[:, None] * dirs
 
-    fvals = np.abs(f.eval_many(alg, points)).max(axis=1)
-    gvals = np.abs(_partials(f, alg, points)).max(axis=(1, 2))
+    values = np.abs(_evaluate([f, *_partials(f)], alg, points.T.copy()))
+    fvals, gvals = values[0].max(axis=0), values[1:].max(axis=(0, 1))
     usable = (fvals > 0.0) & (fvals < 1.0) & (gvals > 0.0)
     return fvals[usable], gvals[usable]
 

@@ -308,6 +308,17 @@ def test_fiber_cloud_rejects_zero_cloud_size():
         ("mul", SQUARE_POLY, {"x": [True, 0], "y": [1, 2]},
          "element 'x' must be a pair of numbers"),
         ("grad", SQUARE_POLY, {"point": [["1", 0]]}, "point must be a list of coordinate pairs"),
+        ("fit-linear", SQUARE_POLY, {"J": ["0", -1, 1, True]},
+         'J must be a flat list [p, r, q, s] of numbers, got ["0", -1, 1, true]'),
+        ("mul", SQUARE_POLY,
+         {"params": {"a": ["1", 0, -1], "b": [False, True, 0]}, "x": [1, 0], "y": [1, 2]},
+         "parameter 'a' must be a list of numbers, got [\"1\", 0, -1]"),
+        ("mul", SQUARE_POLY,
+         {"params": {"a": [1, 0, -1], "b": [False, True, 0]}, "x": [1, 0], "y": [1, 2]},
+         "parameter 'b' must be a list of numbers, got [false, true, 0]"),
+        ("mul", SQUARE_POLY,
+         {"params": {"a": [1, 0, -1], "b": [0, 1, 10**400]}, "x": [1, 0], "y": [1, 2]},
+         "algebra parameters must fit a float"),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):

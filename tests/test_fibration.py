@@ -26,7 +26,8 @@ from perplex.fibration import (
     fiber_solve,
     local_triviality_check,
 )
-from perplex.multivar import PerplexPolyN, real_jacobian
+from perplex import fibration, multivar
+from perplex.multivar import PerplexPolyN, partial_derivative, real_jacobian
 from perplex.structure import AlgebraKind, classify
 
 from conftest import algebra_of_kind, philox
@@ -118,21 +119,59 @@ class TestCriticalValues:
         assert len(disc) > 0 and np.abs(model).min(axis=1).max() <= 1e-12
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("dim", [2, 4, 6])
 def test_min_norm_step_matches_pinv(dim):
-    rng = np.random.Generator(np.random.Philox(dim))
-    jac = rng.normal(size=(500, 2, dim))
-    res = rng.normal(size=(500, 2))
-    want = np.einsum("nij,nj->ni", np.linalg.pinv(jac), res)
-    rel = np.linalg.norm(_min_norm_step(jac, res) - want, axis=1) / np.linalg.norm(
-        want, axis=1
+    # the elementwise step from the perplex partials is pinv(J) r for the
+    # real Jacobian J of random maps in dim / 2 variables
+    nvars = dim // 2
+    rng = philox(dim)
+    for kind in (AlgebraKind.FIELD, AlgebraKind.HYPERBOLIC):
+        alg = algebra_of_kind(rng, kind)
+        exps = rng.integers(0, 3, (6, nvars))
+        f = PerplexPolyN.from_terms(nvars, zip(map(tuple, exps), random_elements(rng, 6)))
+        pts = rng.uniform(-1.0, 1.0, (500, dim))
+        res = rng.normal(size=(500, 2))
+        grads = [tuple(partial_derivative(f, i).eval_many(alg, pts).T) for i in range(nvars)]
+        step = np.column_stack(_min_norm_step(alg, grads, *res.T))
+        jac = real_jacobian(f, alg, pts)
+        want = np.einsum("nij,nj->ni", np.linalg.pinv(jac), res)
+        rel = np.linalg.norm(step - want, axis=1) / np.linalg.norm(want, axis=1)
+        # the closed form solves with J J^T, whose condition number is cond(J)^2
+        cond = np.linalg.cond(jac)
+        assert cond.max() < 1e6
+        assert np.all(rel <= 1e-12 * np.maximum(1.0, cond / 30.0) ** 2)
+    # a zero partial and partials on one zero-divisor line of the split
+    # complex numbers make J J^T singular: the step is zero
+    grads = [(np.array([0.0, 1.0]), np.array([0.0, 1.0]))] * nvars
+    step = np.column_stack(
+        _min_norm_step(PerplexAlgebra(HYPERBOLIC_PARAMS), grads, np.ones(2), np.ones(2))
     )
-    # the closed form solves with J J^T, whose condition number is cond(J)^2
-    cond = np.linalg.cond(jac)
-    assert np.all(rel <= 1e-12 * np.maximum(1.0, cond / 30.0) ** 2)
-    singular = np.zeros((2, 2, dim))
-    singular[1, 0, 0] = singular[1, 1, 0] = 1.0
-    assert np.array_equal(_min_norm_step(singular, np.ones((2, 2))), np.zeros((2, dim)))
+    assert np.array_equal(step, np.zeros((2, dim)))
+
+
+def test_newton_forms_the_partials_once(monkeypatch):
+    # the partials are built once per call however many steps run, in this
+    # module and in multivar alike
+    calls = []
+
+    def counting(f, i):
+        calls.append(i)
+        return partial_derivative(f, i)
+
+    monkeypatch.setattr(fibration, "partial_derivative", counting)
+    monkeypatch.setattr(multivar, "partial_derivative", counting)
+    rng = philox(7)
+    for nvars in (1, 2, 3):
+        alg = algebra_of_kind(rng, AlgebraKind.FIELD)
+        exps = rng.integers(0, 3, (5, nvars))
+        f = PerplexPolyN.from_terms(nvars, zip(map(tuple, exps), random_elements(rng, 5)))
+        pts = rng.uniform(-1.0, 1.0, (64, 2 * nvars))
+        target = f.eval_many(alg, pts[:1] + 0.1)
+        for steps in (0, 1, 3, 20):
+            calls.clear()
+            out, res = _newton(f, alg, pts, target, steps)
+            assert calls == list(range(nvars))
+        assert np.count_nonzero(res <= 1e-14) > 0
 
 
 def _dual_algebra(rng) -> PerplexAlgebra:

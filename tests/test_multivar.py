@@ -166,6 +166,29 @@ def test_eval_many_rows_are_eval_and_match_expansion(seed):
     assert np.abs(vals - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
 
 
+@pytest.mark.parametrize(
+    "point, flat_count",
+    [
+        ([Perplex(0.1, 0.2)], 2),
+        ([Perplex(0.1, 0.2)] * 3, 6),
+        ([0.1, 0.2, 0.3], 3),
+        (np.zeros((1, 4)), 4),
+    ],
+    ids=["one-element", "three-elements", "three-coords", "stack"],
+)
+def test_eval_rejects_wrong_arity(complex_alg, point, flat_count):
+    # the scalar path keeps eval_many's shape check; gradient flattens its
+    # point first, so there only a wrong coordinate count fails
+    f = sum_of_squares()
+    with pytest.raises(ValueError):
+        f.eval(complex_alg, point)
+    if flat_count == 4:
+        assert gradient(f, complex_alg, point) == [Perplex(0.0, 0.0)] * 2
+    else:
+        with pytest.raises(ValueError):
+            gradient(f, complex_alg, point)
+
+
 def test_gradient_matches_finite_differences(hyperbolic_alg):
     f = PerplexPolyN.from_terms(
         2,
