@@ -229,27 +229,15 @@ def approx_linear_sequence(
     op_scale = max(1.0, float(np.linalg.norm(mat, 2)))
     out: list[tuple[np.ndarray, AlgebraParams]] = []
     prev_dist = np.inf
+    moves = (lambda t: _rotation(t) @ mat @ _rotation(t).T, lambda t: mat + t * _GENERIC)
     for k in range(1, n + 1):
         found = None
-        angle = 1.0 / k
-        for _ in range(8):
-            cand = _rotation(angle) @ mat @ _rotation(angle).T
+        for cand in (move(0.5**i / k) for move in moves for i in range(8)):
             dist = float(np.linalg.norm(cand - mat, 2))
             fit = fit_linear(cand, tol)
             if fit.status == "Exact" and dist <= 2.0 * op_scale / k and dist < prev_dist:
                 found = (cand, fit.params, dist)
                 break
-            angle *= 0.5
-        if found is None:
-            step = 1.0 / k
-            for _ in range(8):
-                cand = mat + step * _GENERIC
-                dist = float(np.linalg.norm(cand - mat, 2))
-                fit = fit_linear(cand, tol)
-                if fit.status == "Exact" and dist <= 2.0 * op_scale / k and dist < prev_dist:
-                    found = (cand, fit.params, dist)
-                    break
-                step *= 0.5
         if found is None:
             raise FitFailed(
                 f"no fittable perturbation of size <= {2.0 * op_scale / k:g}"

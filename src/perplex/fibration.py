@@ -1,24 +1,18 @@
 """Desk-scale verification of local triviality over the punctured disk.
 
-The pipeline: find the discriminant of a polynomial map, rasterize it
-into a mask over a small target disk, flood-fill the complement into
-components, and probe each component with fiber counts.  Constancy of
-the count within a component is the checkable content of the
-fibration statement.
-
-The mask also blanks the target's zero-divisor cone.  The cone is not
-part of the discriminant, but cutting along it only refines the
-partition: each refined piece sits inside a true component, so count
-constancy must still hold piecewise, and the refinement keeps probe
-regions away from the directions where inverse images degenerate.  For
-a field algebra the cone is the origin alone and nothing changes.
+The pipeline: find the discriminant of a polynomial map, split a small
+target disk minus it into components, and probe each with fiber counts,
+which the Milnor-Le fibration theorem makes constant on each component.
 
 Every map is solved in the model algebra: the isomorphism from
 ``classify`` carries f term by term onto one complex polynomial P
 (Field) or a pair of real polynomials (p1(s), p2(t)) (Hyperbolic).  The
 real Jacobian drops rank exactly where grad P = 0, or grad p1 = 0 or
-grad p2 = 0, so Field discriminants are finite sets and Hyperbolic ones
-lines parallel to the model axes.  Newton evaluates f and its perplex
+grad p2 = 0, so Field discriminants are finite sets, which leave the
+punctured disk connected, and Hyperbolic ones segments parallel to the
+model axes.  Hyperbolic disks are also cut along the zero-divisor cone,
+the model axes: that only refines the partition, and keeps probes from
+where inverse images degenerate.  Newton evaluates f and its perplex
 partials and, by the generalized Cauchy-Riemann structure, takes the
 Jacobian's x_ij column as e_j times the i-th partial.  One-variable fibers
 are model roots, carried back and Newton-polished; two-variable fibers are
@@ -46,9 +40,8 @@ _REAL_ROOT_TOL = 1e-9
 _SEGMENT_SPACING = 0.45
 _FIBER_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-6
-_MASK_DILATION = 2
 _MAX_HALVINGS = 6
-_CONSISTENCY_CELLS = 3.0
+_PROBE_MARGIN = 3.05  # raster cells a probe keeps from every cut, near which roots merge
 _CLOUD_SEEDS = 4096
 _CRITICAL_SEEDS = 96
 
@@ -210,9 +203,8 @@ def critical_values(
     """Discriminant samples: the critical set pushed through the map.
 
     Field critical values are points; Hyperbolic ones are segments
-    parallel to the model axes, sampled at most 0.45 raster cells apart
-    so that the rasterized discriminant is gap-free.  One-variable maps
-    are solved exactly.  In more variables Newton from ``seed``'s starts
+    parallel to the model axes, sampled at most 0.45 raster cells apart.
+    One-variable maps are solved exactly.  In more variables Newton from ``seed``'s starts
     finds the critical points whose critical set meets the epsilon ball,
     and a Hyperbolic one w* adds the whole line {p_k = p_k(w*)}.  Points
     are returned inside a slightly padded eta box.  ``epsilon`` and
@@ -221,7 +213,7 @@ def critical_values(
     _check_positive("epsilon", epsilon)
     _check_positive("eta", eta)
     if f.nvars == 1:
-        return _discriminant(_model(f, alg), epsilon, eta)
+        return _discriminant(_model(f, alg), epsilon, eta)[0]
     return _discriminant_nvar(f, _nondegenerate(alg), epsilon, eta, seed)
 
 
@@ -240,7 +232,9 @@ def _segment(
     return base + taus[:, None] * step
 
 
-def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
+def _discriminant(model: _Model, epsilon: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of the discriminant, and its rows (axis, level, lo, hi): model segments
+    {m_axis = level, lo <= m_other <= hi}, or (0, Re, Im, Im) for a Field point."""
     degree = model.coeffs.shape[1] - 1
     deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
     inv = model.inv
@@ -250,10 +244,12 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
         crit = crit[np.abs(sources).max(axis=1) <= epsilon]
         vals = np.polyval(_complex(model.coeffs), crit)
         targets = np.column_stack([vals.real, vals.imag]) @ inv.T
-        return targets[np.abs(targets).max(axis=1) <= 1.35 * eta]
+        seen = np.abs(targets).max(axis=1) <= 1.35 * eta
+        rows = np.column_stack([np.zeros(len(vals)), vals.real, vals.imag, vals.imag])
+        return targets[seen], rows[seen]
 
     turns = [np.roots(d).real for d in deriv]
-    segments = [np.empty((0, 2))]
+    segments, rows = [np.empty((0, 2))], [np.empty((0, 4))]
     for axis, other in ((0, 1), (1, 0)):
         # critical lines {model coordinate `axis` = s*}, parametrised by
         # the other coordinate; each maps onto one axis-parallel segment
@@ -267,9 +263,10 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> np.ndarray:
             t = turns[other]
             cand = np.concatenate([j_range, t[(t > j_range[0]) & (t < j_range[1])]])
             vals = np.polyval(model.coeffs[other], cand)
-            base = np.polyval(model.coeffs[axis], s_star) * inv[:, axis]
-            segments.append(_segment(base, inv[:, other], vals.min(), vals.max(), eta))
-    return np.vstack(segments)
+            level, lo, hi = np.polyval(model.coeffs[axis], s_star), vals.min(), vals.max()
+            rows.append([(axis, level, lo, hi)])
+            segments.append(_segment(level * inv[:, axis], inv[:, other], lo, hi, eta))
+    return np.vstack(segments), np.vstack(rows)
 
 
 def _poly_eval(exps: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -331,16 +328,24 @@ def fiber_solve(
 ) -> list[Perplex]:
     """All solutions of f(x) = c inside the epsilon ball (one variable).
 
-    The roots are solved in the model algebra and carried back, then
-    polished by two Newton steps; points are kept when the residual
-    max-norm is at most 1e-10, then deduplicated so reported points
-    stay at least 1e-6 apart.  This is the batched solve behind
-    ``local_triviality_check`` with a single target.
+    The roots are solved in the model algebra and carried back, then polished
+    by two Newton steps; points are kept when the residual max-norm is at most
+    1e-10, then deduplicated so reported points stay at least 1e-6 apart.  This
+    is the batched solve behind ``local_triviality_check`` with a single
+    target.  ``epsilon`` must be finite and positive, and ``c`` finite.
     """
     if f.nvars != 1:
         raise ValueError("finite fiber solving needs a one-variable map")
-    roots, _ = _fibers(_model(f, alg), np.array([c.as_tuple()]), epsilon)
+    _check_positive("epsilon", epsilon)
+    roots, _ = _fibers(_model(f, alg), _target(c)[None], epsilon)
     return [Perplex(float(x), float(y)) for x, y in roots]
+
+
+def _target(c: Perplex) -> np.ndarray:
+    target = np.array(c.as_tuple())
+    if not np.isfinite(target).all():
+        raise ValueError(f"the target c must be finite, got {c.as_tuple()}")
+    return target
 
 
 def _fibers(
@@ -382,7 +387,6 @@ class ComponentReport:
     counts: tuple[int, ...]
     constant: bool
     majority: int
-    low_confidence: bool
 
     def to_dict(self) -> dict:
         return {
@@ -392,13 +396,12 @@ class ComponentReport:
             "counts": list(self.counts),
             "constant": self.constant,
             "majority": self.majority,
-            "lowConfidence": self.low_confidence,
         }
 
 
 @dataclass(frozen=True)
 class FibrationReport:
-    """Local-triviality evidence over the masked target disk."""
+    """Local-triviality evidence over the punctured target disk."""
 
     algebra_kind: str
     epsilon: float
@@ -430,80 +433,77 @@ class FibrationReport:
                 for c in self.components
             ],
             "constant": [c.constant for c in self.components],
-            "lowConfidence": [c.low_confidence for c in self.components],
         }
 
 
-def _mask(samples: np.ndarray, eta: float) -> np.ndarray:
-    """The raster cells of the samples dilated by a disk of radius two
-    cells: the disk's offsets stamped on every distinct sample cell."""
-    ij = np.floor((samples + eta) / (2.0 * eta / _TARGET_RES)).astype(int)
-    ij = ij[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
-    row, col = np.divmod(np.unique(ij[:, 1] * _TARGET_RES + ij[:, 0]), _TARGET_RES)
-    offs = np.arange(-_MASK_DILATION, _MASK_DILATION + 1)
-    di, dj = np.nonzero(offs[:, None] ** 2 + offs[None, :] ** 2 <= _MASK_DILATION**2)
-    # stamp on a grid with a margin as wide as the disk, then cut the margin off
-    mask = np.zeros((_TARGET_RES + len(offs) - 1,) * 2, dtype=bool)
-    mask[row[:, None] + di, col[:, None] + dj] = True
-    return mask[_MASK_DILATION:-_MASK_DILATION, _MASK_DILATION:-_MASK_DILATION]
+def _components(model: _Model, eta: float, rows: np.ndarray) -> list[np.ndarray]:
+    """The exact components of the eta disk minus the discriminant ``rows`` and,
+    for Hyperbolic, the cone lines (which hold the level-0 segments), each as
+    the flat row-major indices of its raster centres beyond the probe margin,
+    in order of first centres.  The cut values split the model plane into
+    rectangles, each meeting the disk (an ellipse in model coordinates) in a
+    convex set, so joining neighbours across uncut edges inside the disk is exact."""
+    if model.kind is AlgebraKind.HYPERBOLIC:
+        rows = np.vstack([[(k, 0.0, -np.inf, np.inf) for k in (0, 1)], rows[rows[:, 1] != 0.0]])
+    cell, inv = 2.0 * eta / _TARGET_RES, model.inv
+    axis, reach = -eta + (np.arange(_TARGET_RES) + 0.5) * cell, _PROBE_MARGIN * cell
+    m = [model.iso[k, 0] * axis + model.iso[k, 1] * axis[:, None] for k in (0, 1)]
+    keep = axis**2 + axis[:, None] ** 2 <= eta**2
+    for k, level, lo, hi in rows:
+        a, b, k = inv[:, int(k)], inv[:, 1 - int(k)], int(k)
+        # a centre lies |m_k - level| * |det inv| / |b| from the line m_k = level
+        width = reach * np.linalg.norm(b) / abs(np.linalg.det(inv))
+        near = (m[k] > level - width) & (m[k] < level + width)
+        if lo > -np.inf:  # only the strip's centres near the segment itself
+            at = np.flatnonzero(near)
+            d = np.stack([axis[at % _TARGET_RES], axis[at // _TARGET_RES]]) - level * a[:, None]
+            tau = np.clip(b @ d / (b @ b), lo, hi)
+            near.flat[at] = np.linalg.norm(d - tau * b[:, None], axis=0) < reach
+        keep &= ~near
 
-
-def _rings(labels: np.ndarray, ncomp: int, mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per label, the cells of its ring (outside it and 4-adjacent to it)
-    and how many of them are masked.  Two 4-adjacent labelled cells share
-    a label, so the ring cells are the unlabelled neighbours."""
-    index, keys = np.arange(labels.size).reshape(labels.shape), []
-    top, bottom, left, right = np.s_[:-1], np.s_[1:], np.s_[:, :-1], np.s_[:, 1:]
-    for free, nbr in ((bottom, top), (top, bottom), (right, left), (left, right)):
-        hit = (labels[free] == 0) & (labels[nbr] > 0)
-        keys.append(index[free][hit] * (ncomp + 1) + labels[nbr][hit])
-    cell, lab = np.divmod(np.unique(np.concatenate(keys)), ncomp + 1)
-    masked = lab[mask.ravel()[cell]]
-    return np.bincount(lab, minlength=ncomp + 1), np.bincount(masked, minlength=ncomp + 1)
+    cuts = [np.append(rows[rows[:, 0] == k, 1], rows[rows[:, 0] != k, 2:]) for k in (0, 1)]
+    cuts = [np.unique(c[np.isfinite(c)]) for c in cuts]
+    stride, q = (len(cuts[1]) + 1, 1), inv.T @ inv  # |p|^2 = m^T q m
+    lab = np.arange((len(cuts[0]) + 1) * stride[0])  # rectangle -> component
+    for k, o in ((0, 1), (1, 0)):
+        ends = np.concatenate([[-np.inf], cuts[o], [np.inf]])
+        for i, v in enumerate(cuts[k]):
+            on = rows[(rows[:, 0] == k) & (rows[:, 1] == v)]
+            # the ellipse's chord on the line m_k = v is mid +- half in m_o
+            mid = -q[k, o] * v / q[o, o]
+            half = np.sqrt(max(q[o, o] * eta**2 - np.linalg.det(q) * v**2, 0.0)) / q[o, o]
+            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+                covered = ((on[:, 2] <= lo) & (on[:, 3] >= hi)).any()
+                if not covered and max(lo, mid - half) < min(hi, mid + half):
+                    r = i * stride[k] + j * stride[o]
+                    lab[lab == lab[r + stride[k]]] = lab[r]
+    rect = np.zeros(keep.shape, np.min_scalar_type(len(lab)))
+    for k, v in [(k, v) for k in (0, 1) for v in cuts[k]]:
+        np.add(rect, stride[k], out=rect, where=m[k] > v)
+    groups = [np.logical_or.reduce([rect == i for i in np.flatnonzero(lab == c)]) for c in set(lab)]
+    groups = [np.flatnonzero(keep & g) for g in groups]
+    return sorted((g for g in groups if len(g)), key=lambda g: g[0])
 
 
 def _component_reports(
-    model: _Model, eta: float, epsilon: float, probes: int, seed: int, samples: np.ndarray
+    model: _Model, eta: float, epsilon: float, probes: int, seed: int, rows: np.ndarray
 ) -> tuple[list[ComponentReport], bool]:
-    """Mask, label and probe the eta disk in a fixed amount of array work: a
-    radius-two disk stamped on every sample cell, one ``ndimage.label``, one
-    pass over the labels for all rings, and one batched solve for all probes."""
-    from scipy import ndimage
-    cell = 2.0 * eta / _TARGET_RES
-    centers_axis = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
-    mask = _mask(samples, eta)
-    inside = centers_axis[None, :] ** 2 + centers_axis[:, None] ** 2 <= eta**2
-    labels, ncomp = ndimage.label(~mask & inside)
-    sizes = np.bincount(labels.ravel(), minlength=ncomp + 1)
-    thin = np.flatnonzero(sizes[1:] < probes) + 1
-    if len(thin):
-        msg = f"component {thin[0]} spans only {sizes[thin[0]]} cells; need {probes} probes"
-        raise MaskTooCoarse(msg)
-
-    # cells grouped by label, row-major within a label as np.argwhere lists them
-    cells, starts = np.argsort(labels, axis=None, kind="stable"), np.cumsum(sizes) - sizes
+    """Probe seeded centres of every exact component in one batched solve."""
+    groups = _components(model, eta, rows)
+    for lab, g in enumerate(groups, 1):
+        if len(g) < probes:
+            raise MaskTooCoarse(f"component {lab} spans only {len(g)} cells; need {probes} probes")
     rng = np.random.Generator(np.random.Philox(seed))
-    picks = [rng.choice(sizes[lab], probes, replace=False) for lab in range(1, ncomp + 1)]
-    picks = np.array(picks, dtype=int).reshape(ncomp, probes) + starts[1:, None]
-    row, col = np.divmod(cells[picks.ravel()], _TARGET_RES)
-    targets = np.column_stack([centers_axis[col], centers_axis[row]])
-    counts = _fibers(model, targets, epsilon)[1].reshape(ncomp, probes)
-    ring, masked_ring = _rings(labels, ncomp, mask)
-
-    reports, consistent = [], True
-    for lab, at, n in zip(range(1, ncomp + 1), targets.reshape(ncomp, -1, 2), counts):
-        majority = int(np.bincount(n).argmax())
-        # a count off the majority is excused only near the mask's samples
-        for tgt in at[n != majority]:
-            near = np.linalg.norm(samples - tgt, axis=1).min(initial=np.inf)
-            consistent &= bool(near <= _CONSISTENCY_CELLS * cell)
-        low_conf = bool(ring[lab] > 0 and masked_ring[lab] / ring[lab] > 0.5)
-        reports.append(ComponentReport(
-            lab, int(sizes[lab]), tuple(map(tuple, at.tolist())), tuple(n.tolist()),
-            bool((n == n[0]).all()), majority, low_conf,
-        ))
-    reports.sort(key=lambda r: -r.cell_count)
-    return reports, consistent
+    picks = [g[rng.choice(len(g), probes, replace=False)] for g in groups]
+    row, col = np.divmod(np.array(picks, dtype=int).reshape(-1), _TARGET_RES)
+    targets = -eta + (np.column_stack([col, row]) + 0.5) * (2.0 * eta / _TARGET_RES)
+    counts = _fibers(model, targets, epsilon)[1].reshape(len(groups), probes)
+    reports = sorted((
+        ComponentReport(lab, len(g), tuple(map(tuple, at.tolist())), tuple(n.tolist()),
+                        bool((n == n[0]).all()), int(np.bincount(n).argmax()))
+        for lab, (g, at, n) in enumerate(zip(groups, targets.reshape(-1, probes, 2), counts), 1)
+    ), key=lambda r: -r.cell_count)
+    return reports, all(r.constant for r in reports)
 
 
 def local_triviality_check(
@@ -514,16 +514,16 @@ def local_triviality_check(
     probes_per_component: int = 8,
     seed: int = 1,
 ) -> FibrationReport:
-    """Probe fiber-count constancy over the masked punctured disk.
+    """Probe fiber-count constancy over the punctured disk.
 
-    The map is carried into the model algebra once.  Its discriminant
-    and the target zero-divisor cone are rasterized into a mask (a disk
-    of radius two cells stamped on each sample), the unmasked disk is
-    flood-filled into components, and seeded random cells of all
-    components are probed with fiber counts in one batched model solve.
-    When a component is too thin to probe or a count disagreement
-    appears away from the mask, eta is halved and the check rerun, up to
-    six times.  ``epsilon`` and ``eta`` must be finite and positive.
+    The map is carried into the model algebra once, and the eta disk minus
+    its discriminant and, for Hyperbolic, its zero-divisor cone is split
+    into exact components.  Seeded centres of a 256 x 256 raster, over
+    three cells from every cut, probe each with fiber counts in one batched
+    model solve; the check is consistent when every component's counts are
+    constant.  Otherwise, or when a component is too thin to probe, eta is
+    halved and the check rerun, up to six times.  ``epsilon`` and ``eta``
+    must be finite and positive.
     """
     if f.nvars != 1:
         raise ValueError("triviality probing with fiber counts needs one variable")
@@ -540,10 +540,10 @@ def local_triviality_check(
     report, error = None, None
     for halving in range(_MAX_HALVINGS + 1):
         cur_eta = eta * 0.5**halving
-        disc, cone = _discriminant(model, epsilon, cur_eta), _cone_samples(model, cur_eta)
+        (disc, rows), cone = _discriminant(model, epsilon, cur_eta), _cone_samples(model, cur_eta)
         try:
             comps, consistent = _component_reports(
-                model, cur_eta, epsilon, probes_per_component, seed, np.vstack([disc, cone])
+                model, cur_eta, epsilon, probes_per_component, seed, rows
             )
         except MaskTooCoarse as exc:
             error = exc
@@ -601,16 +601,16 @@ def fiber_cloud(
     mean nearest-neighbor distances.  The target is flagged as
     on-discriminant when it sits within two raster cells of the
     ``critical_values`` samples at eta 0.05 and the same seed.
-    ``epsilon`` must be finite and positive.
+    ``epsilon`` must be finite and positive, and ``c`` finite.
     """
     if f.nvars != 2:
         raise ValueError("cloud sampling needs a two-variable map")
     _check_positive("epsilon", epsilon)
+    target = _target(c)
     if cloud_size < 1:
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
     from scipy import sparse, spatial
     cls = _nondegenerate(alg)
-    target = np.array(c.as_tuple())
 
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.normal(size=(cloud_size, 4))

@@ -153,12 +153,14 @@ def test_approx_sequence_constant_when_already_exact():
 
 
 def test_approx_sequence_upper_triangular():
-    mat = np.array([[2.0, 1.0], [0.0, 1.0]])
-    seq = approx_linear_sequence(mat, 5)
-    bound = 2.0 * np.linalg.norm(mat, 2)
-    for k, (jk, _) in enumerate(seq, start=1):
-        assert np.linalg.norm(jk - mat, 2) <= bound / k
-        assert fit_linear(jk).status == "Exact"
+    # the near-scalar diagonal matrix defeats every rotation and takes the
+    # additive fallback
+    for mat in (np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([[0.8871, 0.0], [0.0, 0.8979]])):
+        seq = approx_linear_sequence(mat, 5)
+        bound = 2.0 * np.linalg.norm(mat, 2)
+        for k, (jk, _) in enumerate(seq, start=1):
+            assert np.linalg.norm(jk - mat, 2) <= bound / k
+            assert fit_linear(jk).status == "Exact"
 
 
 # -- quad_T_matrix ---------------------------------------------------- #

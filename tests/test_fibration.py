@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from perplex.algebra import (
     COMPLEX_PARAMS,
@@ -10,16 +12,18 @@ from perplex.algebra import (
     PerplexAlgebra,
     params_from_span,
     random_elements,
+    sample_valid_params,
 )
 from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from perplex.fibration import (
     _TARGET_RES,
+    _components,
+    _cone_samples,
+    _discriminant,
     _fibers,
-    _mask,
     _min_norm_step,
     _model,
     _newton,
-    _rings,
     _roots,
     critical_values,
     fiber_cloud,
@@ -237,49 +241,135 @@ def test_newton_stops_each_point_on_its_own(complex_alg):
     assert np.linalg.norm(out[1] - root) < 1e-10
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_mask_and_rings_match_ndimage(seed):
+def _label_grid(groups) -> np.ndarray:
+    """The raster of component labels from ``_components``' flat index groups."""
+    labels = np.zeros(_TARGET_RES**2, dtype=int)
+    for lab, group in enumerate(groups, 1):
+        labels[group] = lab
+    return labels.reshape(_TARGET_RES, _TARGET_RES)
+
+
+def _cone_angle(alg) -> float:
+    """Degrees between the zero-divisor lines of a Hyperbolic algebra."""
+    inv = np.linalg.inv(classify(alg).iso)
+    cos = abs(inv[:, 0] @ inv[:, 1]) / np.prod(np.linalg.norm(inv, axis=0))
+    return float(np.degrees(np.arccos(cos)))
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.FIELD, AlgebraKind.HYPERBOLIC])
+def test_exact_components_refine_raster_labels(kind):
+    # the raster labels the partition had before: the discriminant and cone
+    # samples' cells dilated by a disk of radius two cells, then flood-filled
     from scipy import ndimage
 
-    rng = philox(seed)
-    eta = 0.05
-    cell = 2.0 * eta / _TARGET_RES
-    # rays from the origin cut the disk into sectors; scattered points
-    # reach past the grid, and the edge points sit in its first and last
-    # cells or just outside them
-    rays = [
-        np.linspace(0.0, 1.5 * eta, 400)[:, None] * [np.cos(a), np.sin(a)]
-        for a in rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(0, 5)))
-    ]
-    scattered = rng.uniform(-1.3 * eta, 1.3 * eta, (int(rng.integers(0, 300)), 2))
-    along = rng.uniform(-eta, eta, 40)
-    edge = [
-        np.column_stack([np.full(40, x), along])[:, ::flip]
-        for x in (-eta, -eta + 0.5 * cell, eta - 0.5 * cell, eta, -eta - 0.5 * cell)
-        for flip in (1, -1)
-    ]
-    samples = np.vstack([np.empty((0, 2)), *rays, scattered, *edge])
-
-    ij = np.floor((samples + eta) / cell).astype(int)
-    ij = ij[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
-    cells = np.zeros((_TARGET_RES, _TARGET_RES), dtype=bool)
-    cells[ij[:, 1], ij[:, 0]] = True
+    rng = philox(30 + list(AlgebraKind).index(kind))
+    eta, cell = 0.05, 0.1 / _TARGET_RES
+    centers = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
+    inside = centers**2 + centers[:, None] ** 2 <= eta**2
     offs = np.arange(-2, 3)
     disk = offs[:, None] ** 2 + offs[None, :] ** 2 <= 4
-    mask = _mask(samples, eta)
-    assert np.array_equal(mask, ndimage.binary_dilation(cells, structure=disk))
+    algs = []
+    while len(algs) < 8:
+        alg = algebra_of_kind(rng, kind)
+        # a wedge under 10 degrees wide may hold no centre beyond the probe margin
+        if kind is AlgebraKind.FIELD or _cone_angle(alg) >= 10.0:
+            algs.append(alg)
+    for alg in algs:
+        model = _model(PerplexPolyN.from_terms(1, [((2,), random_elements(rng, 1)[0])]), alg)
+        disc, rows = _discriminant(model, 1.0, eta)
+        ij = np.floor((np.vstack([disc, _cone_samples(model, eta)]) + eta) / cell).astype(int)
+        ij = ij[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
+        cells = np.zeros(inside.shape, dtype=bool)
+        cells[ij[:, 1], ij[:, 0]] = True
+        raster, count = ndimage.label(~ndimage.binary_dilation(cells, structure=disk) & inside)
 
-    centers = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
-    cx, cy = np.meshgrid(centers, centers)
-    labels, ncomp = ndimage.label(~mask & (cx**2 + cy**2 <= eta**2))
-    ring, masked = _rings(labels, ncomp, mask)
-    assert len(ring) == len(masked) == ncomp + 1
-    for lab in range(1, ncomp + 1):
-        inside = labels == lab
-        want = ndimage.binary_dilation(inside) & ~inside
-        assert ring[lab] == want.sum()
-        assert masked[lab] == (want & mask).sum()
-    assert np.array_equal(_mask(np.empty((0, 2)), eta), np.zeros_like(mask))
+        exact = _label_grid(_components(model, eta, rows))
+        assert exact.max() == (1 if kind is AlgebraKind.FIELD else 4)
+        assert not exact[~inside].any()
+        for lab in range(1, count + 1):
+            assert len(np.unique(exact[(raster == lab) & (exact > 0)])) <= 1
+
+
+@pytest.mark.parametrize(
+    "p1, p2, majorities",
+    [
+        # s^3 - 3 a^2 s has critical values +-0.03: two model lines across
+        # the disk, beside the cone lines, cut it into eight pieces
+        ([0.0, -3.0 * 0.015 ** (2 / 3), 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [1] * 4 + [3] * 4),
+        # s^2 + 0.01 and t^2 + 0.02: two segments from the corner (0.01, 0.02)
+        # fence off {m0 > 0.01, m1 > 0.02} and end inside the disk
+        ([0.01, 0.0, 1.0], [0.02, 0.0, 1.0], [0, 0, 0, 0, 4]),
+    ],
+    ids=["cubic-lines", "corner"],
+)
+def test_model_built_maps_have_known_components(hyperbolic_alg, p1, p2, majorities):
+    # the split-complex model coordinates are (x1 + x2, x1 - x2)
+    inv = np.linalg.inv(classify(hyperbolic_alg).iso)
+    terms = [((k,), Perplex(*map(float, inv @ (a, b)))) for k, (a, b) in enumerate(zip(p1, p2))]
+    f = PerplexPolyN.from_terms(1, [t for t, a, b in zip(terms, p1, p2) if a or b])
+    rep = local_triviality_check(f, hyperbolic_alg, seed=4)
+    assert rep.consistent and rep.halvings == 0
+    assert sorted(c.majority for c in rep.components) == majorities
+
+    # every centre of the disk farther than the margin from all cuts is counted
+    eta, cell = rep.eta, 2.0 * rep.eta / _TARGET_RES
+    axis = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
+    pts = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    pts = pts[(pts**2).sum(axis=1) <= eta**2]
+    cuts = np.vstack([[(0, 0.0, -np.inf, np.inf), (1, 0.0, -np.inf, np.inf)],
+                      _discriminant(_model(f, hyperbolic_alg), 1.0, eta)[1]])
+    gap = np.full(len(pts), np.inf)
+    for k, level, lo, hi in cuts:
+        base, step = level * inv[:, int(k)], inv[:, 1 - int(k)]
+        tau = np.clip((pts - base) @ step / (step @ step), lo, hi)
+        gap = np.minimum(gap, np.linalg.norm(pts - base - tau[:, None] * step, axis=1))
+    assert sum(c.cell_count for c in rep.components) == (gap >= 3.05 * cell).sum()
+
+
+def test_thin_wedge_keeps_its_components():
+    # the cone lines of this algebra are 20.4 degrees apart; on the raster the
+    # diagonal wedge between them fell apart into pieces too thin to probe
+    rng = philox(1020)
+    alg = PerplexAlgebra(sample_valid_params(rng))
+    assert 20.0 < _cone_angle(alg) < 21.0
+    f = PerplexPolyN.from_terms(1, [((1,), random_elements(rng, 2, 0.6)[1])])
+    rep = local_triviality_check(f, alg, seed=20)
+    assert rep.algebra_kind == "Hyperbolic" and rep.halvings == 0
+    assert rep.fiber_counts() == [[1] * 8] * 4
+    assert rep.consistent
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.FIELD, AlgebraKind.HYPERBOLIC])
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 4))
+@example(seed=18, degree=3)  # Field critical values near the rim of the disk
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_exact_partition_properties(kind, seed, degree):
+    rng = philox(seed)
+    alg = algebra_of_kind(rng, kind)
+    coeffs = random_elements(rng, degree + 1, 0.6)
+    f = PerplexPolyN.from_terms(1, [((k,), coeffs[k]) for k in range(1, degree + 1)])
+    try:
+        rep = local_triviality_check(f, alg, seed=seed)
+    except MaskTooCoarse:
+        assume(False)
+    probes = np.array([p for comp in rep.components for p in comp.probes])
+    assert len(np.unique(probes, axis=0)) == len(probes)
+    assert (np.linalg.norm(probes, axis=1) <= rep.eta).all()
+    samples = np.vstack([rep.discriminant_samples, rep.cone_samples])
+    gaps = np.linalg.norm(probes[:, None] - samples[None], axis=2).min(axis=1, initial=np.inf)
+    assert (gaps > 3.0 * 2.0 * rep.eta / rep.target_res).all()
+    assert rep.consistent == all(c.constant for c in rep.components)
+    if kind is AlgebraKind.FIELD:  # finitely many points leave the disk connected
+        assert len(rep.components) == 1
+
+    # kept centres lie over three cells from every cut, so no cut passes
+    # between two neighbouring ones: they share a component
+    model = _model(f, alg)
+    groups = _components(model, rep.eta, _discriminant(model, 1.0, rep.eta)[1])
+    assert sorted(map(len, groups)) == sorted(c.cell_count for c in rep.components)
+    labels = _label_grid(groups)
+    for a, b in ((labels[1:], labels[:-1]), (labels[:, 1:], labels[:, :-1])):
+        assert np.array_equal(a[(a > 0) & (b > 0)], b[(a > 0) & (b > 0)])
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -416,6 +506,27 @@ class TestFiberSolve:
     def test_two_variable_input_rejected(self, complex_alg):
         with pytest.raises(ValueError):
             fiber_solve(sum_of_squares(), complex_alg, Perplex(0.1, 0.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "solve, c, epsilon, message",
+    [
+        (fiber_solve, (0.1, 0.0), NAN, "epsilon must be finite and positive"),
+        (fiber_solve, (0.1, 0.0), -1.0, "epsilon must be finite and positive"),
+        (fiber_solve, (0.1, 0.0), 0.0, "epsilon must be finite and positive"),
+        (fiber_solve, (0.1, 0.0), INF, "epsilon must be finite and positive"),
+        (fiber_solve, (NAN, 0.0), 1.0, "c must be finite"),
+        (fiber_cloud, (INF, 0.0), 1.0, "c must be finite"),
+    ],
+    ids=["nan-epsilon", "negative-epsilon", "zero-epsilon", "inf-epsilon", "nan-c", "cloud-inf-c"],
+)
+def test_fiber_inputs_are_checked(complex_alg, solve, c, epsilon, message):
+    f = square_map() if solve is fiber_solve else sum_of_squares()
+    with pytest.raises(ValueError, match=message):
+        solve(f, complex_alg, Perplex(*c), epsilon=epsilon)
 
 
 class TestLocalTriviality:
