@@ -319,13 +319,20 @@ class PerplexAlgebra:
         return Perplex(r11 * x.x1 + r12 * x.x2, r21 * x.x1 + r22 * x.x2)
 
     def inverse(self, x: Perplex) -> Perplex:
-        """conjugate(x) / N(x); raises NotAUnit on the zero-divisor conic."""
-        n = self.norm(x)
+        """conjugate(x) / N(x); raises NotAUnit on the zero-divisor conic.
+
+        x is first scaled by the power of two 2^-e that brings its max-norm
+        into [0.5, 1), which is exact, so N cannot overflow for huge x nor
+        underflow for tiny x.  An inverse past the float range is infinite.
+        """
+        e = math.frexp(x.max_norm())[1]
+        y = Perplex(math.ldexp(x.x1, -e), math.ldexp(x.x2, -e))
+        n = self.norm(y)
         c_scale = max(1.0, max(abs(c) for c in self.norm_coeffs))
-        floor = self.tol * c_scale * max(x.max_norm(), 1e-300) ** 2
+        floor = self.tol * c_scale * max(y.max_norm(), 1e-300) ** 2
         if abs(n) <= floor:
-            raise NotAUnit(f"norm {n!r} vanishes within tolerance for {x}")
-        return self.conjugate(x) / n
+            raise NotAUnit(f"norm {n!r} of x / 2^{e} vanishes within tolerance for {x}")
+        return self.conjugate(y) / n * 2.0 ** (-e // 2) * 2.0 ** (-e - -e // 2)
 
     def power(self, x: Perplex, n: int) -> Perplex:
         """x * x * ... * x (n factors) by iterated multiplication; n <= 64."""

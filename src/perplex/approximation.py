@@ -38,6 +38,7 @@ _FIT_SEED = 20211
 _RANDOM_STARTS = 28
 _MARGIN_ACCEPT = 0.05
 _MARGIN_FLOOR = 1e-6
+MAX_SEQUENCE = 1000  # longest approximating sequence; that many members take seconds
 
 CERT_FIRST_AXIS = (
     "the first coordinate axis is an eigendirection of J (lower-left entry"
@@ -217,10 +218,11 @@ def approx_linear_sequence(
     offending eigendirections off the coordinate axes; the angle is
     halved if a member fails to fit or breaks the monotone approach,
     and a generic additive perturbation of size O(1/k) is the fallback.
+    ``n`` must be in [1, MAX_SEQUENCE].
     """
     mat = np.asarray(mat, dtype=float).reshape(2, 2)
-    if n < 1:
-        raise ValueError("sequence length must be at least 1")
+    if not 1 <= n <= MAX_SEQUENCE:
+        raise ValueError(f"sequence length must be in [1, {MAX_SEQUENCE}], got {n}")
     base = fit_linear(mat, tol)
     if base.status == "Exact":
         assert base.params is not None

@@ -27,6 +27,7 @@ from .algebra import (
     validate_params,
 )
 from .approximation import (
+    MAX_SEQUENCE,
     approx_linear_sequence,
     approx_quadratic,
     fit_linear,
@@ -309,8 +310,8 @@ def _cmd_fit_linear(data, args, tols):
 def _cmd_approx_linear(data, args, tols):
     mat = _load_matrix(data)
     count = _load_int(data, "count", 5)
-    if count < 1:
-        raise CliError("count must be a positive integer")
+    if not 1 <= count <= MAX_SEQUENCE:
+        raise CliError(f"count must be in [1, {MAX_SEQUENCE}], got {count}")
     seq = approx_linear_sequence(mat, count, tols["fit"])
     steps = [
         {

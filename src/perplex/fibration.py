@@ -12,8 +12,10 @@ grad p2 = 0, so Field discriminants are finite sets, which leave the
 punctured disk connected, and Hyperbolic ones segments parallel to the
 model axes.  Hyperbolic disks are also cut along the zero-divisor cone,
 the model axes: that only refines the partition, and keeps probes from
-where inverse images degenerate.  Newton evaluates f and its perplex
-partials and, by the generalized Cauchy-Riemann structure, takes the
+where inverse images degenerate.  The pieces are unions of model
+rectangles meeting the disk's ellipse, whose chords give their exact
+areas; probes are drawn in them directly.  Newton evaluates f and its
+perplex partials and, by the generalized Cauchy-Riemann structure, takes the
 Jacobian's x_ij column as e_j times the i-th partial.  One-variable fibers
 are model roots, carried back and Newton-polished; two-variable fibers are
 surfaces, sampled as point clouds by minimum-norm Gauss-Newton projection
@@ -41,7 +43,10 @@ _SEGMENT_SPACING = 0.45
 _FIBER_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-6
 _MAX_HALVINGS = 6
-_PROBE_MARGIN = 3.05  # raster cells a probe keeps from every cut, near which roots merge
+_PROBE_MARGIN = 3.05  # sample cells a probe keeps from every cut, near which roots merge
+_MAX_PROBES = 256  # per component
+_DRAWS = 16  # candidate points per probe
+_CDF_NODES = 33  # steps of u at which a rectangle's area is tabulated for the draw
 _CLOUD_SEEDS = 4096
 _CRITICAL_SEEDS = 96
 
@@ -379,10 +384,12 @@ def _fibers(
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Per-component probe summary."""
+    """Per-component probe summary: the component's exact area, and the
+    distance its probes keep from every cut."""
 
     label: int
-    cell_count: int
+    area: float
+    margin: float
     probes: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
     constant: bool
@@ -391,7 +398,8 @@ class ComponentReport:
     def to_dict(self) -> dict:
         return {
             "label": self.label,
-            "cellCount": self.cell_count,
+            "area": self.area,
+            "margin": self.margin,
             "probes": [list(p) for p in self.probes],
             "counts": list(self.counts),
             "constant": self.constant,
@@ -436,73 +444,117 @@ class FibrationReport:
         }
 
 
-def _components(model: _Model, eta: float, rows: np.ndarray) -> list[np.ndarray]:
+def _ellipse(inv: np.ndarray) -> tuple[np.ndarray, float]:
+    """q with |inv m|^2 = m^T q m, and its determinant, exact for near-parallel columns."""
+    return inv.T @ inv, (inv[0, 0] * inv[1, 1] - inv[0, 1] * inv[1, 0]) ** 2
+
+
+def _chord(inv: np.ndarray, eta: float, k: int, v):
+    """The eta disk, an ellipse m^T q m <= eta^2 in model coordinates, meets the
+    line m_k = v in the chord mid +- half along the other coordinate."""
+    (q, det), o = _ellipse(inv), 1 - k
+    return -q[k, o] * v / q[o, o], np.sqrt(np.maximum(q[o, o] * eta**2 - det * v**2, 0.0)) / q[o, o]
+
+
+def _area_below(inv: np.ndarray, eta: float, v, c) -> np.ndarray:
+    """The model-plane area of the disk's ellipse where m0 <= v and m1 <= c (both
+    within its reach), summed along its chords m0 = u: between the crossings
+    u1 <= u2 of the line m1 = c up to c, beyond them wholly or not at all."""
+    q, det = _ellipse(inv)
+    mid, half, big = *_chord(inv, eta, 1, c), eta * np.sqrt(q[1, 1] / det)
+    u1, u2 = (np.where(half > 0.0, mid + s * half, big) for s in (-1.0, 1.0))
+    y = np.maximum(u1, np.minimum(v, u2))
+    # the ellipse's area over lo <= m0 <= hi, for (lo, hi) = (-big, min(v, u1)), (u1, y), (u2, v)
+    w = np.stack(np.broadcast_arrays(-big, np.minimum(v, u1), u1, y, u2, np.maximum(u2, v)))
+    w = np.clip(w / big, -1.0, 1.0)
+    w = (w * np.sqrt(1.0 - w**2) + np.arcsin(w)) * eta**2 / np.sqrt(det)
+    strips, end = w[1::2] - w[::2], q[0, 1] * big / q[1, 1]
+    inner = c * (y - u1) + q[0, 1] * (y**2 - u1**2) / (2.0 * q[1, 1]) + strips[1] / 2.0
+    return (end < c) * strips[0] + inner + (-end < c) * strips[2]
+
+
+def _components(model: _Model, eta: float, rows: np.ndarray) -> tuple:
     """The exact components of the eta disk minus the discriminant ``rows`` and,
-    for Hyperbolic, the cone lines (which hold the level-0 segments), each as
-    the flat row-major indices of its raster centres beyond the probe margin,
-    in order of first centres.  The cut values split the model plane into
-    rectangles, each meeting the disk (an ellipse in model coordinates) in a
-    convex set, so joining neighbours across uncut edges inside the disk is exact."""
+    for Hyperbolic, the cone lines (which hold the level-0 segments).  The cuts
+    split the model plane into rectangles, each meeting the disk (an ellipse in
+    model coordinates) in a convex part; neighbours join across each edge that
+    meets the disk and no segment covers.  Returns the cut rows, the rectangles'
+    bounds (lo0, hi0, lo1, hi1), the range of m0 = u over each part and its area
+    left of _CDF_NODES even steps of u, and the components, largest first.  Parts
+    under 1e-12 of the disk, the rounding level of the areas, count as empty."""
     if model.kind is AlgebraKind.HYPERBOLIC:
         rows = np.vstack([[(k, 0.0, -np.inf, np.inf) for k in (0, 1)], rows[rows[:, 1] != 0.0]])
-    cell, inv = 2.0 * eta / _TARGET_RES, model.inv
-    axis, reach = -eta + (np.arange(_TARGET_RES) + 0.5) * cell, _PROBE_MARGIN * cell
-    m = [model.iso[k, 0] * axis + model.iso[k, 1] * axis[:, None] for k in (0, 1)]
-    keep = axis**2 + axis[:, None] ** 2 <= eta**2
-    for k, level, lo, hi in rows:
-        a, b, k = inv[:, int(k)], inv[:, 1 - int(k)], int(k)
-        # a centre lies |m_k - level| * |det inv| / |b| from the line m_k = level
-        width = reach * np.linalg.norm(b) / abs(np.linalg.det(inv))
-        near = (m[k] > level - width) & (m[k] < level + width)
-        if lo > -np.inf:  # only the strip's centres near the segment itself
-            at = np.flatnonzero(near)
-            d = np.stack([axis[at % _TARGET_RES], axis[at // _TARGET_RES]]) - level * a[:, None]
-            tau = np.clip(b @ d / (b @ b), lo, hi)
-            near.flat[at] = np.linalg.norm(d - tau * b[:, None], axis=0) < reach
-        keep &= ~near
-
     cuts = [np.append(rows[rows[:, 0] == k, 1], rows[rows[:, 0] != k, 2:]) for k in (0, 1)]
-    cuts = [np.unique(c[np.isfinite(c)]) for c in cuts]
-    stride, q = (len(cuts[1]) + 1, 1), inv.T @ inv  # |p|^2 = m^T q m
-    lab = np.arange((len(cuts[0]) + 1) * stride[0])  # rectangle -> component
-    for k, o in ((0, 1), (1, 0)):
-        ends = np.concatenate([[-np.inf], cuts[o], [np.inf]])
-        for i, v in enumerate(cuts[k]):
-            on = rows[(rows[:, 0] == k) & (rows[:, 1] == v)]
-            # the ellipse's chord on the line m_k = v is mid +- half in m_o
-            mid = -q[k, o] * v / q[o, o]
-            half = np.sqrt(max(q[o, o] * eta**2 - np.linalg.det(q) * v**2, 0.0)) / q[o, o]
-            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-                covered = ((on[:, 2] <= lo) & (on[:, 3] >= hi)).any()
-                if not covered and max(lo, mid - half) < min(hi, mid + half):
-                    r = i * stride[k] + j * stride[o]
-                    lab[lab == lab[r + stride[k]]] = lab[r]
-    rect = np.zeros(keep.shape, np.min_scalar_type(len(lab)))
-    for k, v in [(k, v) for k in (0, 1) for v in cuts[k]]:
-        np.add(rect, stride[k], out=rect, where=m[k] > v)
-    groups = [np.logical_or.reduce([rect == i for i in np.flatnonzero(lab == c)]) for c in set(lab)]
-    groups = [np.flatnonzero(keep & g) for g in groups]
-    return sorted((g for g in groups if len(g)), key=lambda g: g[0])
+    ends = [np.concatenate([[-np.inf], np.unique(c[np.isfinite(c)]), [np.inf]]) for c in cuts]
+    ids = np.arange((len(ends[0]) - 1) * (len(ends[1]) - 1)).reshape(len(ends[0]) - 1, -1)
+    i, j = np.divmod(ids.ravel(), ids.shape[1])
+    q, det = _ellipse(model.inv)
+    reach = eta * np.sqrt(np.diag(q)[::-1] / det).repeat(2)[:, None]
+    bounds = np.clip([ends[0][i], ends[0][i + 1], ends[1][j], ends[1][j + 1]], -reach, reach)
+    # a part's u range ends at a side, at the ellipse's reach or where a side m1 = c meets it
+    mid, half = _chord(model.inv, eta, 1, bounds[2:])
+    u = np.vstack([bounds[:2], [[-1.0], [1.0]] * reach[0] + 0.0 * i, mid - half, mid + half])
+    mid, half = _chord(model.inv, eta, 0, u)
+    ok = (u >= bounds[0]) & (u <= bounds[1]) & (mid - half <= bounds[3] + 1e-12 * reach[2])
+    ok &= mid + half >= bounds[2] - 1e-12 * reach[2]
+    span = np.where(ok, u, np.inf).min(axis=0), np.where(ok, u, -np.inf).max(axis=0)
+    span = np.where(np.isfinite(span), span, bounds[:2])
+    steps = span[0] + (span[1] - span[0]) * np.linspace(0.0, 1.0, _CDF_NODES)[:, None]
+    below = _area_below(model.inv, eta, steps, bounds[2:, None])
+    cdf = below[1] - below[0] - (below[1, 0] - below[0, 0])
+    live, lab = cdf[-1] > 1e-12 * np.pi * reach[0] * reach[2], ids.ravel().copy()
+    for k, cut in enumerate(ends):  # join neighbours across each edge that meets the disk uncut
+        lo, hi, cut = ends[1 - k][:-1], ends[1 - k][1:], cut[1:-1, None]
+        on = (rows[:, 0, None, None] == k) & (rows[:, 1, None, None] == cut)
+        covered = (on & (rows[:, 2, None, None] <= lo) & (rows[:, 3, None, None] >= hi)).any(axis=0)
+        mid, half = _chord(model.inv, eta, k, cut)
+        meets = np.maximum(lo, mid - half) < np.minimum(hi, mid + half)
+        side = np.moveaxis(ids, k, 0)
+        for a, b in zip(side[:-1][meets & ~covered], side[1:][meets & ~covered]):
+            lab[lab == lab[b]] = lab[a]
+    groups = [np.flatnonzero(live & (lab == c)) for c in np.unique(lab[live])]
+    return rows, bounds, span, cdf, sorted(groups, key=lambda g: -cdf[-1, g].sum())
 
 
 def _component_reports(
     model: _Model, eta: float, epsilon: float, probes: int, seed: int, rows: np.ndarray
 ) -> tuple[list[ComponentReport], bool]:
-    """Probe seeded centres of every exact component in one batched solve."""
-    groups = _components(model, eta, rows)
-    for lab, g in enumerate(groups, 1):
-        if len(g) < probes:
-            raise MaskTooCoarse(f"component {lab} spans only {len(g)} cells; need {probes} probes")
-    rng = np.random.Generator(np.random.Philox(seed))
-    picks = [g[rng.choice(len(g), probes, replace=False)] for g in groups]
-    row, col = np.divmod(np.array(picks, dtype=int).reshape(-1), _TARGET_RES)
-    targets = -eta + (np.column_stack([col, row]) + 0.5) * (2.0 * eta / _TARGET_RES)
-    counts = _fibers(model, targets, epsilon)[1].reshape(len(groups), probes)
-    reports = sorted((
-        ComponentReport(lab, len(g), tuple(map(tuple, at.tolist())), tuple(n.tolist()),
-                        bool((n == n[0]).all()), int(np.bincount(n).argmax()))
-        for lab, (g, at, n) in enumerate(zip(groups, targets.reshape(-1, probes, 2), counts), 1)
-    ), key=lambda r: -r.cell_count)
+    """Probe seeded points of every exact component in one batched solve: a
+    point takes a rectangle by area, u by its area table and m1 evenly along
+    the chord at u.  Of _DRAWS points per probe the first kept lie over
+    _PROBE_MARGIN cells from every cut or, in a narrower component, over half
+    the largest such distance among them."""
+    rows, bounds, span, cdf, groups = _components(model, eta, rows)
+    area, rng = cdf[-1], np.random.Generator(np.random.Philox(seed))
+    r = np.concatenate([rng.choice(g, _DRAWS * probes, p=area[g] / area[g].sum()) for g in groups])
+    rest = rng.random(len(r)) * area[r]
+    j = np.clip((cdf[:, r] <= rest).sum(axis=0), 1, _CDF_NODES - 1)
+    step = j - 1 + (rest - cdf[j - 1, r]) / np.maximum(cdf[j, r] - cdf[j - 1, r], 1e-300)
+    u = span[0][r] + (span[1][r] - span[0][r]) * step / (_CDF_NODES - 1)
+    mid, half = _chord(model.inv, eta, 0, u)
+    lo, hi = np.maximum(bounds[2, r], mid - half), np.minimum(bounds[3, r], mid + half)
+    pts = _apply(model.inv, np.column_stack([u, lo + rng.random(len(u)) * (hi - lo)]))
+    pts = pts.reshape(len(groups), -1, 2)
+
+    k = rows[:, 0].astype(int)
+    base, along = rows[:, 1, None] * model.inv.T[k], model.inv.T[1 - k]
+    d = pts[:, :, None, :] - base
+    tau = np.clip((d * along).sum(axis=-1) / (along**2).sum(axis=-1), rows[:, 2], rows[:, 3])
+    gap = np.linalg.norm(d - tau[..., None] * along, axis=-1).min(axis=-1, initial=np.inf)
+    gap[np.linalg.norm(pts, axis=-1) > eta] = -np.inf
+    margin = np.minimum(_PROBE_MARGIN * 2.0 * eta / _TARGET_RES, gap.max(axis=1) / 2.0)
+    pick = np.argsort(np.where(gap > margin[:, None], -np.inf, -gap), axis=1, kind="stable")
+    pick = pick[:, :probes]  # short of kept points, the farthest of the rest fill in
+    targets = np.take_along_axis(pts, pick[..., None], axis=1)
+    margin = np.minimum(margin, np.take_along_axis(gap, pick, axis=1).min(axis=1))
+
+    counts = _fibers(model, targets.reshape(-1, 2), epsilon)[1].reshape(len(groups), probes)
+    scale = abs(np.linalg.det(model.inv))
+    reports = [
+        ComponentReport(lab, float(area[g].sum() * scale), float(m), tuple(map(tuple, at.tolist())),
+                        tuple(n.tolist()), bool((n == n[0]).all()), int(np.bincount(n).argmax()))
+        for lab, (g, m, at, n) in enumerate(zip(groups, margin, targets, counts), 1)
+    ]
     return reports, all(r.constant for r in reports)
 
 
@@ -518,12 +570,14 @@ def local_triviality_check(
 
     The map is carried into the model algebra once, and the eta disk minus
     its discriminant and, for Hyperbolic, its zero-divisor cone is split
-    into exact components.  Seeded centres of a 256 x 256 raster, over
-    three cells from every cut, probe each with fiber counts in one batched
-    model solve; the check is consistent when every component's counts are
-    constant.  Otherwise, or when a component is too thin to probe, eta is
-    halved and the check rerun, up to six times.  ``epsilon`` and ``eta``
-    must be finite and positive.
+    into exact components, reported largest first with their areas.  Each
+    is probed with fiber counts, in one batched model solve, at seeded
+    points drawn by area from its parts of the disk: over 3.05 sample cells
+    (2 eta / 256 each) from every cut or, where a component is narrower,
+    over half the largest distance from the cuts among its points.  The
+    check is consistent when every component's counts are constant;
+    otherwise eta is halved and the check rerun, up to six times.  ``epsilon`` and ``eta`` must be finite and positive, and
+    ``probes_per_component`` at least 1; more than 256 raises MaskTooCoarse.
     """
     if f.nvars != 1:
         raise ValueError("triviality probing with fiber counts needs one variable")
@@ -536,25 +590,22 @@ def local_triviality_check(
         raise ValueError(
             f"probes_per_component must be at least 1, got {probes_per_component}"
         )
+    if probes_per_component > _MAX_PROBES:
+        raise MaskTooCoarse(
+            f"probes_per_component is at most {_MAX_PROBES}, got {probes_per_component}"
+        )
 
-    report, error = None, None
     for halving in range(_MAX_HALVINGS + 1):
         cur_eta = eta * 0.5**halving
         (disc, rows), cone = _discriminant(model, epsilon, cur_eta), _cone_samples(model, cur_eta)
-        try:
-            comps, consistent = _component_reports(
-                model, cur_eta, epsilon, probes_per_component, seed, rows
-            )
-        except MaskTooCoarse as exc:
-            error = exc
-            continue
+        comps, consistent = _component_reports(
+            model, cur_eta, epsilon, probes_per_component, seed, rows
+        )
         report = FibrationReport(
             model.kind.value, epsilon, cur_eta, tuple(comps), disc, cone, consistent, halving
         )
         if consistent:
-            return report
-    if report is None:
-        raise error
+            break
     return report
 
 

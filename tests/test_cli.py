@@ -85,6 +85,20 @@ def test_arithmetic_commands_match_library():
         assert json.loads(proc.stdout)["result"] == want
 
 
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        ([1e308, 0.0], [1e-308, 0.0]),
+        ([-1e308, 1e308], [-5e-309, -5e-309]),
+        ([3e-300, 4e-300], [1.2e299, -1.6e299]),
+    ],
+)
+def test_inverse_of_huge_and_tiny_elements(x, want):
+    proc = run_cli("inv", {"params": COMPLEX, "x": x})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == pytest.approx(want, rel=1e-12)
+
+
 def test_inverse_of_zero_divisor_is_negative_result():
     proc = run_cli("inv", {"params": HYPERBOLIC, "x": [1, 1]})
     assert proc.returncode == 2
@@ -319,6 +333,11 @@ def test_fiber_cloud_rejects_zero_cloud_size():
         ("mul", SQUARE_POLY,
          {"params": {"a": [1, 0, -1], "b": [0, 1, 10**400]}, "x": [1, 0], "y": [1, 2]},
          "algebra parameters must fit a float"),
+        ("approx-linear", SQUARE_POLY, {"J": [1, 0, 0, -1], "count": 1001},
+         "count must be in [1, 1000], got 1001"),
+        ("approx-linear", SQUARE_POLY, {"J": [1, 0, 0, -1], "count": 2**70},
+         f"count must be in [1, 1000], got {2**70}"),
+        ("inv", SQUARE_POLY, {"x": [1e-320, 0]}, "result is not finite"),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perplex.algebra import (
@@ -17,8 +17,6 @@ from perplex.algebra import (
 from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
 from perplex.fibration import (
     _TARGET_RES,
-    _components,
-    _cone_samples,
     _discriminant,
     _fibers,
     _min_norm_step,
@@ -241,12 +239,63 @@ def test_newton_stops_each_point_on_its_own(complex_alg):
     assert np.linalg.norm(out[1] - root) < 1e-10
 
 
-def _label_grid(groups) -> np.ndarray:
-    """The raster of component labels from ``_components``' flat index groups."""
-    labels = np.zeros(_TARGET_RES**2, dtype=int)
-    for lab, group in enumerate(groups, 1):
-        labels[group] = lab
-    return labels.reshape(_TARGET_RES, _TARGET_RES)
+def _cut_rows(model, eta) -> np.ndarray:
+    """The cuts of the eta disk as rows (axis, level, lo, hi): the discriminant
+    segments and, for Hyperbolic, the zero-divisor cone lines."""
+    rows = _discriminant(model, 1.0, eta)[1]
+    if model.kind is AlgebraKind.HYPERBOLIC:
+        rows = np.vstack([[(0, 0.0, -np.inf, np.inf), (1, 0.0, -np.inf, np.inf)], rows])
+    return rows
+
+
+def _gaps(model, eta, pts) -> np.ndarray:
+    """Each point's distance from the nearest cut."""
+    gap = np.full(len(pts), np.inf)
+    for k, level, lo, hi in _cut_rows(model, eta):
+        base, step = level * model.inv[:, int(k)], model.inv[:, 1 - int(k)]
+        tau = np.clip((pts - base) @ step / (step @ step), lo, hi)
+        gap = np.minimum(gap, np.linalg.norm(pts - base - tau[:, None] * step, axis=1))
+    return gap
+
+
+def _brute_labels(model, eta, probes, res=400):
+    """Brute-force component labels of the eta disk minus the cuts: the centres
+    of a res x res raster over half a cell from every cut, flood-filled by
+    4-neighbours (no cut passes between two kept neighbours).  Returns the label
+    raster, its centres' gaps, and each probe's label: that of a kept centre of
+    its 3 x 3 block nearer to it than any cut, or 0 where there is none."""
+    from scipy import ndimage
+
+    h = 2.0 * eta / res
+    axis = -eta + (np.arange(res) + 0.5) * h
+    centres = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    gap = _gaps(model, eta, centres).reshape(res, res)
+    labels = ndimage.label((axis**2 + axis[:, None] ** 2 <= eta**2) & (gap > h / 2))[0]
+    offsets = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1]), axis=-1).reshape(-1, 2)
+    cells = np.clip(np.floor((probes + eta) / h).astype(int)[:, None] + offsets, 0, res - 1)
+    near = np.linalg.norm(-eta + (cells + 0.5) * h - probes[:, None], axis=2)
+    near = (labels[cells[..., 1], cells[..., 0]] > 0) & (near < _gaps(model, eta, probes)[:, None])
+    found = labels[cells[..., 1], cells[..., 0]][np.arange(len(probes)), near.argmax(axis=1)]
+    return labels, gap, np.where(near.any(axis=1), found, 0)
+
+
+def _check_components(rep, model, res=400):
+    """The report's components against brute force: their areas sum to the
+    disk's, and of the raster components reaching three cells from every cut
+    (a piece thinner than that can fall apart on the raster) no two
+    components' probes share one, each one's probes lie in at most one, and
+    every one holding 1% of the disk is reported."""
+    assert sum(c.area for c in rep.components) == pytest.approx(np.pi * rep.eta**2, rel=1e-9)
+    probes = np.array([p for c in rep.components for p in c.probes])
+    labels, gap, found = _brute_labels(model, rep.eta, probes, res)
+    sizes, widest = np.bincount(labels.ravel()), np.zeros(labels.max() + 1)
+    np.maximum.at(widest, labels.ravel(), gap.ravel())
+    found[widest[found] < 6.0 * rep.eta / res] = 0
+    seen = [set(row[row > 0].tolist()) for row in found.reshape(len(rep.components), -1)]
+    assert all(len(s) <= 1 for s in seen)
+    assert sum(map(len, seen)) == len(set().union(*seen))
+    assert set(np.flatnonzero(sizes[1:] >= 0.01 * (labels > 0).sum()) + 1) <= set().union(*seen)
+    return labels, seen
 
 
 def _cone_angle(alg) -> float:
@@ -259,35 +308,33 @@ def _cone_angle(alg) -> float:
 @pytest.mark.parametrize("kind", [AlgebraKind.FIELD, AlgebraKind.HYPERBOLIC])
 def test_exact_components_refine_raster_labels(kind):
     # the raster labels the partition had before: the discriminant and cone
-    # samples' cells dilated by a disk of radius two cells, then flood-filled
+    # samples' cells dilated by a disk of radius two cells, then flood-filled;
+    # the probes of one raster component all belong to one exact component
     from scipy import ndimage
 
     rng = philox(30 + list(AlgebraKind).index(kind))
-    eta, cell = 0.05, 0.1 / _TARGET_RES
-    centers = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
-    inside = centers**2 + centers[:, None] ** 2 <= eta**2
     offs = np.arange(-2, 3)
     disk = offs[:, None] ** 2 + offs[None, :] ** 2 <= 4
-    algs = []
-    while len(algs) < 8:
+    for _ in range(8):
         alg = algebra_of_kind(rng, kind)
-        # a wedge under 10 degrees wide may hold no centre beyond the probe margin
-        if kind is AlgebraKind.FIELD or _cone_angle(alg) >= 10.0:
-            algs.append(alg)
-    for alg in algs:
-        model = _model(PerplexPolyN.from_terms(1, [((2,), random_elements(rng, 1)[0])]), alg)
-        disc, rows = _discriminant(model, 1.0, eta)
-        ij = np.floor((np.vstack([disc, _cone_samples(model, eta)]) + eta) / cell).astype(int)
-        ij = ij[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
+        f = PerplexPolyN.from_terms(1, [((2,), random_elements(rng, 1)[0])])
+        rep = local_triviality_check(f, alg, seed=1)
+        model, eta, cell = _model(f, alg), rep.eta, 2.0 * rep.eta / _TARGET_RES
+        centers = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
+        inside = centers**2 + centers[:, None] ** 2 <= eta**2
+        ij = np.floor((np.vstack([rep.discriminant_samples, rep.cone_samples]) + eta) / cell)
+        ij = ij.astype(int)[((ij >= 0) & (ij < _TARGET_RES)).all(axis=1)]
         cells = np.zeros(inside.shape, dtype=bool)
         cells[ij[:, 1], ij[:, 0]] = True
-        raster, count = ndimage.label(~ndimage.binary_dilation(cells, structure=disk) & inside)
+        raster = ndimage.label(~ndimage.binary_dilation(cells, structure=disk) & inside)[0]
 
-        exact = _label_grid(_components(model, eta, rows))
-        assert exact.max() == (1 if kind is AlgebraKind.FIELD else 4)
-        assert not exact[~inside].any()
-        for lab in range(1, count + 1):
-            assert len(np.unique(exact[(raster == lab) & (exact > 0)])) <= 1
+        assert len(rep.components) == (1 if kind is AlgebraKind.FIELD else 4)
+        _check_components(rep, model)
+        owner = {}
+        for comp in rep.components:
+            at = np.floor((np.array(comp.probes) + eta) / cell).astype(int)
+            for lab in raster[at[:, 1], at[:, 0]]:
+                assert owner.setdefault(lab, comp.label) == comp.label or lab == 0
 
 
 @pytest.mark.parametrize(
@@ -310,20 +357,15 @@ def test_model_built_maps_have_known_components(hyperbolic_alg, p1, p2, majoriti
     rep = local_triviality_check(f, hyperbolic_alg, seed=4)
     assert rep.consistent and rep.halvings == 0
     assert sorted(c.majority for c in rep.components) == majorities
+    areas = [c.area for c in rep.components]
+    assert areas == sorted(areas, reverse=True)
 
-    # every centre of the disk farther than the margin from all cuts is counted
-    eta, cell = rep.eta, 2.0 * rep.eta / _TARGET_RES
-    axis = -eta + (np.arange(_TARGET_RES) + 0.5) * cell
-    pts = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
-    pts = pts[(pts**2).sum(axis=1) <= eta**2]
-    cuts = np.vstack([[(0, 0.0, -np.inf, np.inf), (1, 0.0, -np.inf, np.inf)],
-                      _discriminant(_model(f, hyperbolic_alg), 1.0, eta)[1]])
-    gap = np.full(len(pts), np.inf)
-    for k, level, lo, hi in cuts:
-        base, step = level * inv[:, int(k)], inv[:, 1 - int(k)]
-        tau = np.clip((pts - base) @ step / (step @ step), lo, hi)
-        gap = np.minimum(gap, np.linalg.norm(pts - base - tau[:, None] * step, axis=1))
-    assert sum(c.cell_count for c in rep.components) == (gap >= 3.05 * cell).sum()
+    # each component's area is that of its raster centres, up to the cells the cuts cross
+    labels, seen = _check_components(rep, _model(f, hyperbolic_alg), res=512)
+    assert all(len(s) == 1 for s in seen)
+    cell = (2.0 * rep.eta / 512) ** 2
+    for comp, (lab,) in zip(rep.components, seen):
+        assert comp.area == pytest.approx((labels == lab).sum() * cell, rel=0.03)
 
 
 def test_thin_wedge_keeps_its_components():
@@ -339,6 +381,42 @@ def test_thin_wedge_keeps_its_components():
     assert rep.consistent
 
 
+@pytest.mark.parametrize("degrees", [2.2, 0.05])
+def test_wedge_narrower_than_the_margin_is_probed(degrees):
+    # cone lines 2.2 degrees apart: near the rim the wedge between them is
+    # 0.038 eta wide, under two 3.05-cell margins (0.048 eta), so its probes
+    # keep a narrower margin; at 0.05 degrees it is thinner than any raster
+    mat = np.array([[0.0, 1.0], [np.tan(np.radians(degrees / 2)) ** 2, 0.0]])
+    u = np.array([0.0, 1.0])
+    alg = PerplexAlgebra(params_from_span(mat, np.column_stack([u, mat @ u]))[0])
+    assert _cone_angle(alg) == pytest.approx(degrees, rel=1e-6)
+    f = PerplexPolyN.from_terms(1, [((2,), Perplex(0.9, 0.3))])
+    rep = local_triviality_check(f, alg, seed=1)
+    assert rep.algebra_kind == "Hyperbolic" and rep.halvings == 0
+    assert len(rep.components) == 4 and rep.consistent
+    # the cone lines, the model axes, are the only cuts: the components are
+    # the disk's sectors between them, and the model quadrants label them
+    angle = np.radians(degrees)
+    sectors = np.array([np.pi - angle] * 2 + [angle] * 2) * rep.eta**2 / 2.0
+    assert [c.area for c in rep.components] == pytest.approx(sectors, rel=1e-9)
+    model, cell = _model(f, alg), 2.0 * rep.eta / rep.target_res
+    quadrants = [np.unique(np.sign(np.array(c.probes) @ model.iso.T), axis=0) for c in rep.components]
+    assert all(len(q) == 1 for q in quadrants) and len(np.unique(np.vstack(quadrants), axis=0)) == 4
+    for comp in rep.components[2:]:
+        assert comp.margin < 3.05 * cell
+        assert (_gaps(model, rep.eta, np.array(comp.probes)) >= comp.margin).all()
+    _check_components(rep, model, res=1024)
+
+
+def test_near_equal_cut_values_leave_one_component(complex_alg):
+    # two Field critical values a rounding error apart bound a strip of no
+    # area; the rectangles on either side still join across it
+    model = _model(square_map(), complex_alg)
+    level = 0.01
+    rows = np.array([(0, level, 0.02, 0.02), (0, np.nextafter(level, 1.0), -0.02, -0.02)])
+    assert len(fibration._components(model, 0.05, rows)[4]) == 1
+
+
 @pytest.mark.parametrize("kind", [AlgebraKind.FIELD, AlgebraKind.HYPERBOLIC])
 @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 4))
 @example(seed=18, degree=3)  # Field critical values near the rim of the disk
@@ -348,28 +426,27 @@ def test_exact_partition_properties(kind, seed, degree):
     alg = algebra_of_kind(rng, kind)
     coeffs = random_elements(rng, degree + 1, 0.6)
     f = PerplexPolyN.from_terms(1, [((k,), coeffs[k]) for k in range(1, degree + 1)])
-    try:
-        rep = local_triviality_check(f, alg, seed=seed)
-    except MaskTooCoarse:
-        assume(False)
+    rep = local_triviality_check(f, alg, seed=seed)
     probes = np.array([p for comp in rep.components for p in comp.probes])
     assert len(np.unique(probes, axis=0)) == len(probes)
     assert (np.linalg.norm(probes, axis=1) <= rep.eta).all()
-    samples = np.vstack([rep.discriminant_samples, rep.cone_samples])
-    gaps = np.linalg.norm(probes[:, None] - samples[None], axis=2).min(axis=1, initial=np.inf)
-    assert (gaps > 3.0 * 2.0 * rep.eta / rep.target_res).all()
     assert rep.consistent == all(c.constant for c in rep.components)
     if kind is AlgebraKind.FIELD:  # finitely many points leave the disk connected
         assert len(rep.components) == 1
 
-    # kept centres lie over three cells from every cut, so no cut passes
-    # between two neighbouring ones: they share a component
-    model = _model(f, alg)
-    groups = _components(model, rep.eta, _discriminant(model, 1.0, rep.eta)[1])
-    assert sorted(map(len, groups)) == sorted(c.cell_count for c in rep.components)
-    labels = _label_grid(groups)
-    for a, b in ((labels[1:], labels[:-1]), (labels[:, 1:], labels[:, :-1])):
-        assert np.array_equal(a[(a > 0) & (b > 0)], b[(a > 0) & (b > 0)])
+    # probes keep the 3.05-cell margin from every cut, or a narrower one
+    # only in a component under twice that wide
+    model, cell = _model(f, alg), 2.0 * rep.eta / rep.target_res
+    samples = np.vstack([rep.discriminant_samples, rep.cone_samples])
+    labels, gap, _ = _brute_labels(model, rep.eta, probes)
+    _, seen = _check_components(rep, model)
+    for comp, lab in zip(rep.components, seen):
+        at = np.array(comp.probes)
+        gaps = np.linalg.norm(at[:, None] - samples[None], axis=2).min(axis=1, initial=np.inf)
+        assert (gaps >= comp.margin).all() and (_gaps(model, rep.eta, at) >= comp.margin).all()
+        assert comp.margin <= 3.05 * cell
+        if comp.margin < 3.05 * cell:
+            assert gap[np.isin(labels, list(lab))].max(initial=0.0) < 4 * 3.05 * cell
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
