@@ -47,7 +47,6 @@ from .errors import (
     FitFailed,
     GcrViolated,
     InsufficientSamples,
-    MaskTooCoarse,
     NotAUnit,
     PerplexError,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "InsufficientSamples",
     "LinearFitResult",
     "LojaFit",
-    "MaskTooCoarse",
     "NotAUnit",
     "Perplex",
     "PerplexAlgebra",

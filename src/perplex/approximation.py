@@ -291,6 +291,8 @@ def quad_T_matrix(m: PolyMap, tol: float = TAU_FIT) -> QuadFitResult:
     """
     _require_quadratic(m)
     cols_m, cols_n = _partial_columns(m)
+    if not (np.isfinite(cols_m).all() and np.isfinite(cols_n).all()):
+        raise ValueError("the map's partial derivatives overflow: a coefficient is not finite")
     t_mat, *_ = np.linalg.lstsq(cols_m.T, cols_n.T, rcond=None)
     t_mat = t_mat.T
     residual = float(np.abs(cols_n - t_mat @ cols_m).max())

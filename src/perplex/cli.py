@@ -45,6 +45,7 @@ from .multivar import PerplexPolyN, gradient, is_critical, loja_scan
 from .structure import classify
 
 _KNOWN_TOLS = {"eq", "fit", "critical"}
+_MAX_EXPONENT = 128  # per variable in poly and map documents; evaluation caches each power
 
 
 class CliError(Exception):
@@ -142,6 +143,14 @@ def _is_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
+def _is_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _is_exponent(raw) -> bool:
+    return _is_int(raw) and 0 <= raw <= _MAX_EXPONENT
+
+
 def _is_pair(raw) -> bool:
     return isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw))
 
@@ -157,7 +166,7 @@ def _load_element(data: dict, key: str) -> Perplex:
 
 def _load_int(data: dict, key: str, default: int | None = None) -> int:
     raw = _get(data, key) if default is None else data.get(key, default)
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    if not _is_int(raw):
         raise CliError(f"{key!r} must be an integer, got {json.dumps(raw)}")
     return raw
 
@@ -172,16 +181,39 @@ def _load_float(data: dict, key: str, default: float) -> float:
         raise CliError(f"{key!r} must be finite, got {raw}") from exc
 
 
+def _check_terms(key: str, raw, lists: tuple, coeff_ok, coeff_kind: str) -> None:
+    """The terms of a ``poly`` or ``map`` document take exponents only as JSON
+    integers in [0, _MAX_EXPONENT], and coefficients that pass ``coeff_ok``;
+    a document of the wrong shape is left to its parser."""
+    for name in lists:
+        terms = raw.get(name) if isinstance(raw, dict) else None
+        for term in terms if isinstance(terms, list) else []:
+            if not isinstance(term, dict):
+                continue
+            exp, c = term.get("exp"), term.get("c")
+            if not (isinstance(exp, list) and all(map(_is_exponent, exp))):
+                raise CliError(
+                    f"{key!r} exponents must be integers in [0, {_MAX_EXPONENT}],"
+                    f" got {json.dumps(exp)}"
+                )
+            if not coeff_ok(c):
+                raise CliError(f"{key!r} coefficients must be {coeff_kind}, got {json.dumps(c)}")
+
+
 def _load_polymap(data: dict) -> PolyMap:
+    raw = _get_finite(data, "map")
+    _check_terms("map", raw, ("u", "v"), _is_number, "numbers")
     try:
-        return PolyMap.from_dict(_get_finite(data, "map"))
+        return PolyMap.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"could not parse polynomial map: {exc}") from exc
 
 
 def _load_poly(data: dict) -> PerplexPolyN:
+    raw = _get_finite(data, "poly")
+    _check_terms("poly", raw, ("terms",), _is_pair, "pairs of numbers")
     try:
-        return PerplexPolyN.from_dict(_get_finite(data, "poly"))
+        return PerplexPolyN.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"could not parse polynomial: {exc}") from exc
 

@@ -56,10 +56,5 @@ class DegenerateAlgebra(PerplexError):
     nondegenerate norm form."""
 
 
-class MaskTooCoarse(PerplexError):
-    """A target-region component is too small to probe at the
-    requested resolution."""
-
-
 class EmptyFiber(PerplexError):
     """No fiber point converged for the requested target value."""

@@ -4,13 +4,16 @@ The pipeline: find the discriminant of a polynomial map, split a small
 target disk minus it into components, and probe each with fiber counts,
 which the Milnor-Le fibration theorem makes constant on each component.
 
-Every map is solved in the model algebra: the isomorphism from
-``classify`` carries f term by term onto one complex polynomial P
-(Field) or a pair of real polynomials (p1(s), p2(t)) (Hyperbolic).  The
+Every map, in any number of variables, is carried into the model algebra
+once: the isomorphism from ``classify`` takes f term by term onto one
+complex polynomial P (Field) or a pair of real polynomials p1, p2
+(Hyperbolic), each held as exponent rows and model coefficient rows.  The
 real Jacobian drops rank exactly where grad P = 0, or grad p1 = 0 or
-grad p2 = 0, so Field discriminants are finite sets, which leave the
-punctured disk connected, and Hyperbolic ones segments parallel to the
-model axes.  Hyperbolic disks are also cut along the zero-divisor cone,
+grad p2 = 0, so the discriminant is one list of rows: Field critical
+values are points, which leave the punctured disk connected, and
+Hyperbolic ones segments parallel to the model axes.  One-variable
+critical points are exact model roots; in more variables seeded Newton
+finds them.  Hyperbolic disks are also cut along the zero-divisor cone,
 the model axes: that only refines the partition, and keeps probes from
 where inverse images degenerate.  The pieces are unions of model
 rectangles meeting the disk's ellipse, whose chords give their exact
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Perplex, PerplexAlgebra
-from .errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
+from .errors import DegenerateAlgebra, EmptyFiber
 from .multivar import PerplexPolyN, _evaluate, partial_derivative
 from .structure import AlgebraKind, Classification, classify
 
@@ -42,12 +45,14 @@ _REAL_ROOT_TOL = 1e-9
 _SEGMENT_SPACING = 0.45
 _FIBER_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-6
+_REPEAT = 1e-6  # critical values nearer than _REPEAT * eta / 256 count as one
 _MAX_HALVINGS = 6
 _PROBE_MARGIN = 3.05  # sample cells a probe keeps from every cut, near which roots merge
 _MAX_PROBES = 256  # per component
 _DRAWS = 16  # candidate points per probe
 _CDF_NODES = 33  # steps of u at which a rectangle's area is tabulated for the draw
 _CLOUD_SEEDS = 4096
+_MAX_CLOUD = 16384  # the linkage pairs of a cloud collapsed onto one point grow quadratically
 _CRITICAL_SEEDS = 96
 
 
@@ -68,12 +73,14 @@ def _nondegenerate(alg: PerplexAlgebra) -> Classification:
 
 @dataclass(frozen=True)
 class _Model:
-    """A one-variable map carried into its model algebra.
+    """A map in any number of variables carried into its model algebra.
 
-    Row j of ``coeffs`` holds the j-th model coordinate of the
-    coefficients, highest degree first (numpy's order): for Field the
-    complex polynomial is row 0 + i * row 1, for Hyperbolic the rows are
-    p1 and p2.  ``inv`` carries model points back to the algebra.
+    ``exps`` holds f's exponents (terms, nvars) and ``terms`` the model
+    coordinates of its coefficients (2, terms): for Field the complex
+    coefficient is row 0 + i * row 1, for Hyperbolic the rows belong to p1
+    and p2.  For one variable ``coeffs`` holds the same rows dense, highest
+    degree first (numpy's order); it is None otherwise.  ``inv`` carries
+    model points back to the algebra.
     """
 
     f: PerplexPolyN
@@ -81,7 +88,9 @@ class _Model:
     kind: AlgebraKind
     iso: np.ndarray
     inv: np.ndarray
-    coeffs: np.ndarray
+    exps: np.ndarray
+    terms: np.ndarray
+    coeffs: np.ndarray | None
 
 
 def _model_terms(f: PerplexPolyN, iso: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,10 +103,12 @@ def _model_terms(f: PerplexPolyN, iso: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
     cls = _nondegenerate(alg)
     exps, terms = _model_terms(f, cls.iso)
-    degree = int(exps.max(initial=0))
-    coeffs = np.zeros((2, degree + 1))
-    coeffs[:, degree - exps[:, 0]] = terms
-    return _Model(f, alg, cls.kind, cls.iso, np.linalg.inv(cls.iso), coeffs)
+    coeffs = None
+    if f.nvars == 1:
+        degree = int(exps.max(initial=0))
+        coeffs = np.zeros((2, degree + 1))
+        coeffs[:, degree - exps[:, 0]] = terms
+    return _Model(f, alg, cls.kind, cls.iso, np.linalg.inv(cls.iso), exps, terms, coeffs)
 
 
 def _complex(rows: np.ndarray) -> np.ndarray:
@@ -207,19 +218,19 @@ def critical_values(
 ) -> np.ndarray:
     """Discriminant samples: the critical set pushed through the map.
 
-    Field critical values are points; Hyperbolic ones are segments
-    parallel to the model axes, sampled at most 0.45 raster cells apart.
-    One-variable maps are solved exactly.  In more variables Newton from ``seed``'s starts
-    finds the critical points whose critical set meets the epsilon ball,
-    and a Hyperbolic one w* adds the whole line {p_k = p_k(w*)}.  Points
-    are returned inside a slightly padded eta box.  ``epsilon`` and
-    ``eta`` must be finite and positive.
+    f is carried into its model algebra, where Field critical values are
+    points and Hyperbolic ones segments parallel to the model axes,
+    sampled at most 0.45 raster cells apart.  One-variable maps are solved
+    exactly, with critical points in the epsilon box.  In more variables
+    Newton from ``seed``'s starts finds the critical points whose critical
+    set meets the epsilon ball; a Hyperbolic one w* adds the whole line
+    {p_k = p_k(w*)}, and a value found twice is kept once.  Points are
+    returned inside a slightly padded eta box.  ``epsilon`` and ``eta``
+    must be finite and positive.
     """
     _check_positive("epsilon", epsilon)
     _check_positive("eta", eta)
-    if f.nvars == 1:
-        return _discriminant(_model(f, alg), epsilon, eta)[0]
-    return _discriminant_nvar(f, _nondegenerate(alg), epsilon, eta, seed)
+    return _discriminant(_model(f, alg), epsilon, eta, seed)[0]
 
 
 def _segment(
@@ -237,9 +248,39 @@ def _segment(
     return base + taus[:, None] * step
 
 
-def _discriminant(model: _Model, epsilon: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of the discriminant, and its rows (axis, level, lo, hi): model segments
-    {m_axis = level, lo <= m_other <= hi}, or (0, Re, Im, Im) for a Field point."""
+def _discriminant(model: _Model, epsilon: float, eta: float, seed: int = 0) -> tuple:
+    """Samples of the discriminant in the padded eta box, and its rows (axis, level,
+    lo, hi): model segments {m_axis = level, lo <= m_other <= hi}, or (0, Re, Im, Im)
+    for a Field point.  In several variables, where Newton starts drawn to one
+    critical point repeat its value, a Field point is kept once."""
+    if model.f.nvars == 1:
+        rows = _critical_rows(model, epsilon)
+    else:
+        rows = _critical_rows_nvar(model, epsilon, eta, seed)
+    inv = model.inv
+    if model.kind is AlgebraKind.FIELD:
+        targets = np.ascontiguousarray(rows[:, 1:3]) @ inv.T
+        keep = np.abs(targets).max(axis=1) <= 1.35 * eta
+        if model.f.nvars > 1:  # after the carry, whose last bits depend on its batch
+            for r in range(1, len(rows)):
+                near = np.linalg.norm(targets[:r][keep[:r]] - targets[r], axis=1)
+                keep[r] &= (near > _REPEAT * eta / _TARGET_RES).all()
+        return targets[keep], rows[keep]
+    segments = [np.empty((0, 2))]
+    for axis, level, lo, hi in rows:
+        k = int(axis)
+        segments.append(_segment(level * inv[:, k], inv[:, 1 - k], lo, hi, eta))
+    return np.vstack(segments), rows
+
+
+def _point_rows(vals: np.ndarray) -> np.ndarray:
+    """The rows (0, Re, Im, Im) of complex Field critical values."""
+    return np.column_stack([np.zeros(len(vals)), vals.real, vals.imag, vals.imag])
+
+
+def _critical_rows(model: _Model, epsilon: float) -> np.ndarray:
+    """Discriminant rows of a one-variable map from its exact model critical points
+    in the epsilon box; a Hyperbolic segment spans its line's range in the box."""
     degree = model.coeffs.shape[1] - 1
     deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
     inv = model.inv
@@ -247,14 +288,10 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> tuple[np.ndarray
         crit = np.roots(_complex(deriv))
         sources = np.column_stack([crit.real, crit.imag]) @ inv.T
         crit = crit[np.abs(sources).max(axis=1) <= epsilon]
-        vals = np.polyval(_complex(model.coeffs), crit)
-        targets = np.column_stack([vals.real, vals.imag]) @ inv.T
-        seen = np.abs(targets).max(axis=1) <= 1.35 * eta
-        rows = np.column_stack([np.zeros(len(vals)), vals.real, vals.imag, vals.imag])
-        return targets[seen], rows[seen]
+        return _point_rows(np.polyval(_complex(model.coeffs), crit))
 
     turns = [np.roots(d).real for d in deriv]
-    segments, rows = [np.empty((0, 2))], [np.empty((0, 4))]
+    rows = []
     for axis, other in ((0, 1), (1, 0)):
         # critical lines {model coordinate `axis` = s*}, parametrised by
         # the other coordinate; each maps onto one axis-parallel segment
@@ -268,10 +305,8 @@ def _discriminant(model: _Model, epsilon: float, eta: float) -> tuple[np.ndarray
             t = turns[other]
             cand = np.concatenate([j_range, t[(t > j_range[0]) & (t < j_range[1])]])
             vals = np.polyval(model.coeffs[other], cand)
-            level, lo, hi = np.polyval(model.coeffs[axis], s_star), vals.min(), vals.max()
-            rows.append([(axis, level, lo, hi)])
-            segments.append(_segment(level * inv[:, axis], inv[:, other], lo, hi, eta))
-    return np.vstack(segments), np.vstack(rows)
+            rows.append((axis, np.polyval(model.coeffs[axis], s_star), vals.min(), vals.max()))
+    return np.array(rows).reshape(-1, 4)
 
 
 def _poly_eval(exps: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -293,36 +328,33 @@ def _critical_points(polys: list, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, np.abs(g).max(axis=1) <= 1e-8
 
 
-def _discriminant_nvar(
-    f: PerplexPolyN, cls: Classification, epsilon: float, eta: float, seed: int
-) -> np.ndarray:
+def _critical_rows_nvar(model: _Model, epsilon: float, eta: float, seed: int) -> np.ndarray:
+    """Discriminant rows of a several-variable map from the model critical points
+    Newton finds from ``seed``'s starts, where their critical set meets the epsilon
+    ball: a Field point per converged start, a Hyperbolic line per level."""
+    f, inv = model.f, model.inv
     grad = [partial_derivative(f, i) for i in range(f.nvars)]
     hess = [partial_derivative(g, j) for g in grad for j in range(f.nvars)]
-    terms = [_model_terms(p, cls.iso) for p in [f, *grad, *hess]]
-    inv = np.linalg.inv(cls.iso)
+    terms = [(model.exps, model.terms)] + [_model_terms(p, model.iso) for p in [*grad, *hess]]
     rng = np.random.Generator(np.random.Philox(seed))
-    starts = rng.uniform(-epsilon, epsilon, (_CRITICAL_SEEDS, f.nvars, 2)) @ cls.iso.T
-    if cls.kind is AlgebraKind.FIELD:
-        model = [(e, _complex(c)) for e, c in terms]
-        w, ok = _critical_points(model[1:], starts[..., 0] + 1j * starts[..., 1])
+    starts = rng.uniform(-epsilon, epsilon, (_CRITICAL_SEEDS, f.nvars, 2)) @ model.iso.T
+    if model.kind is AlgebraKind.FIELD:
+        polys = [(e, _complex(c)) for e, c in terms]
+        w, ok = _critical_points(polys[1:], starts[..., 0] + 1j * starts[..., 1])
         ok &= np.linalg.norm(np.stack([w.real, w.imag], 2) @ inv.T, axis=(1, 2)) <= epsilon
-        vals = _poly_eval(*model[0], w[ok])
-        targets = np.column_stack([vals.real, vals.imag]) @ inv.T
-        return targets[np.abs(targets).max(axis=1) <= 1.35 * eta]
+        return _point_rows(_poly_eval(*polys[0], w[ok]))
 
-    lines = [np.empty((0, 2))]
+    rows = []
     for axis, other in ((0, 1), (1, 0)):
-        a, b = inv[:, axis], inv[:, other]
-        model = [(e, c[axis]) for e, c in terms]
-        w, ok = _critical_points(model[1:], starts[..., axis])
+        polys = [(e, c[axis]) for e, c in terms]
+        w, ok = _critical_points(polys[1:], starts[..., axis])
         # the critical set {w} x R^n comes nearest the origin at this norm
-        near = np.linalg.norm(w, axis=1) * abs(np.linalg.det(inv)) / np.linalg.norm(b)
-        ok &= near <= epsilon
-        vals = np.sort(_poly_eval(*model[0], w[ok]))
-        # seeds drawn to one critical point repeat its line: sample it once
-        new = np.diff(vals, prepend=-np.inf) * np.linalg.norm(a) > 1e-6 * eta / _TARGET_RES
-        lines += [_segment(v * a, b, -np.inf, np.inf, eta) for v in vals[new]]
-    return np.vstack(lines)
+        near = np.linalg.norm(w, axis=1) * abs(np.linalg.det(inv)) / np.linalg.norm(inv[:, other])
+        vals = np.sort(_poly_eval(*polys[0], w[ok & (near <= epsilon)]))
+        gap = np.diff(vals, prepend=-np.inf) * np.linalg.norm(inv[:, axis])
+        new = gap > _REPEAT * eta / _TARGET_RES
+        rows += [(axis, v, -np.inf, np.inf) for v in vals[new]]
+    return np.array(rows).reshape(-1, 4)
 
 
 def fiber_solve(
@@ -576,8 +608,9 @@ def local_triviality_check(
     (2 eta / 256 each) from every cut or, where a component is narrower,
     over half the largest distance from the cuts among its points.  The
     check is consistent when every component's counts are constant;
-    otherwise eta is halved and the check rerun, up to six times.  ``epsilon`` and ``eta`` must be finite and positive, and
-    ``probes_per_component`` at least 1; more than 256 raises MaskTooCoarse.
+    otherwise eta is halved and the check rerun, up to six times.
+    ``epsilon`` and ``eta`` must be finite and positive, and
+    ``probes_per_component`` in [1, 256].
     """
     if f.nvars != 1:
         raise ValueError("triviality probing with fiber counts needs one variable")
@@ -586,13 +619,9 @@ def local_triviality_check(
     model = _model(f, alg)
     if eta > epsilon / 10.0:
         raise ValueError("eta must be at most epsilon/10")
-    if probes_per_component < 1:
+    if not 1 <= probes_per_component <= _MAX_PROBES:
         raise ValueError(
-            f"probes_per_component must be at least 1, got {probes_per_component}"
-        )
-    if probes_per_component > _MAX_PROBES:
-        raise MaskTooCoarse(
-            f"probes_per_component is at most {_MAX_PROBES}, got {probes_per_component}"
+            f"probes_per_component must be in [1, {_MAX_PROBES}], got {probes_per_component}"
         )
 
     for halving in range(_MAX_HALVINGS + 1):
@@ -652,7 +681,8 @@ def fiber_cloud(
     mean nearest-neighbor distances.  The target is flagged as
     on-discriminant when it sits within two raster cells of the
     ``critical_values`` samples at eta 0.05 and the same seed.
-    ``epsilon`` must be finite and positive, and ``c`` finite.
+    ``epsilon`` must be finite and positive, ``c`` finite and
+    ``cloud_size`` in [1, 16384].
     """
     if f.nvars != 2:
         raise ValueError("cloud sampling needs a two-variable map")
@@ -660,8 +690,10 @@ def fiber_cloud(
     target = _target(c)
     if cloud_size < 1:
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
+    if cloud_size > _MAX_CLOUD:
+        raise ValueError(f"cloud_size must be at most {_MAX_CLOUD}, got {cloud_size}")
     from scipy import sparse, spatial
-    cls = _nondegenerate(alg)
+    model = _model(f, alg)
 
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.normal(size=(cloud_size, 4))
@@ -694,7 +726,7 @@ def fiber_cloud(
             # cloud too sparse for the size floor; fall back to raw count
             connectivity, strays = len(sizes), 0
 
-    disc = _discriminant_nvar(f, cls, epsilon, 0.05, seed)
+    disc = _discriminant(model, epsilon, 0.05, seed)[0]
     near = np.linalg.norm(disc - target, axis=1).min(initial=np.inf)
     on_disc = bool(near <= 2.0 * (2.0 * 0.05 / _TARGET_RES))
     return FiberCloud(cloud, float(res[good].max()), connectivity, strays, mean_nn, on_disc)

@@ -31,6 +31,7 @@ from .realpoly import RealPoly
 
 _LOJA_BINS = 20
 _LOJA_MIN_USABLE = 100
+_LOJA_MAX_SAMPLES = 100_000  # memory grows with samples times nvars times the degree
 
 
 @dataclass(frozen=True)
@@ -294,6 +295,8 @@ def _loja_sample(
         raise ValueError("need 0 < rMin < rMax")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > _LOJA_MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_LOJA_MAX_SAMPLES}, got {samples}")
     const = f.constant_term().max_norm()
     if const > 1e-12 * max(1.0, f.max_coeff()):
         raise ValueError("scan requires f(0) = 0")
@@ -325,7 +328,7 @@ def loja_scan(
     log-value axis is cut into 20 bins, each bin contributes its
     minimum log-gradient, and the least-squares line through the bin
     minima gives the exponent estimate (slope) and constant
-    (exp of intercept).
+    (exp of intercept).  ``samples`` must be in [1, 100000].
     """
     fvals, gvals = _loja_sample(f, alg, r_min, r_max, samples, seed)
     if fvals.size < _LOJA_MIN_USABLE:

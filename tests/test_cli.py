@@ -338,6 +338,37 @@ def test_fiber_cloud_rejects_zero_cloud_size():
         ("approx-linear", SQUARE_POLY, {"J": [1, 0, 0, -1], "count": 2**70},
          f"count must be in [1, 1000], got {2**70}"),
         ("inv", SQUARE_POLY, {"x": [1e-320, 0]}, "result is not finite"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [100000000], "c": [1, 0]}]}, {"point": [[1, 0]]},
+         "'poly' exponents must be integers in [0, 128], got [100000000]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [1e308], "c": [1, 0]}]}, {"point": [[1, 0]]},
+         "'poly' exponents must be integers in [0, 128], got [1e+308]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [2.7], "c": [1, 0]}]}, {"point": [[1, 0]]},
+         "'poly' exponents must be integers in [0, 128], got [2.7]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [True], "c": [1, 0]}]}, {"point": [[1, 0]]},
+         "'poly' exponents must be integers in [0, 128], got [true]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": ["2"], "c": [1, 0]}]}, {"point": [[1, 0]]},
+         "'poly' exponents must be integers in [0, 128], got [\"2\"]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [129], "c": [1, 0]}]}, {"point": [[1, 0]]},
+         "'poly' exponents must be integers in [0, 128], got [129]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [2], "c": ["1", 0]}]}, {"point": [[1, 0]]},
+         "'poly' coefficients must be pairs of numbers, got [\"1\", 0]"),
+        ("grad", {"nvars": 1, "terms": [{"exp": [2], "c": [True, 0]}]}, {"point": [[1, 0]]},
+         "'poly' coefficients must be pairs of numbers, got [true, 0]"),
+        ("gcr-check", SQUARE_POLY,
+         {"map": {"nvars": 1, "u": [{"exp": [1, 0], "c": "1"}], "v": [{"exp": [0, 1], "c": 1}]}},
+         "'map' coefficients must be numbers, got \"1\""),
+        ("gcr-check", SQUARE_POLY,
+         {"map": {"nvars": 1, "u": [{"exp": [1, 0], "c": 1}], "v": [{"exp": [0, 1], "c": True}]}},
+         "'map' coefficients must be numbers, got true"),
+        ("gcr-check", SQUARE_POLY,
+         {"map": {"nvars": 1, "u": [{"exp": [-1, 0], "c": 1}], "v": [{"exp": [0, 1], "c": 1}]}},
+         "'map' exponents must be integers in [0, 128], got [-1, 0]"),
+        ("loja-scan", SQUARE_POLY, {"samples": 100001},
+         "samples must be at most 100000, got 100001"),
+        ("fiber-cloud", SUM_SQUARES, {"c": [0.05, 0.0], "cloudSize": 16385},
+         "cloud_size must be at most 16384, got 16385"),
+        ("fiber-count", SQUARE_POLY, {"probes": 257},
+         "probes_per_component must be in [1, 256], got 257"),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):
@@ -346,6 +377,23 @@ def test_range_checks_exit_one(command, poly, extra, message):
     assert proc.returncode == 1
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("fit-quad", {}), ("approx-quad", {}), ("approx-quad", {"eps": 1e308})],
+)
+def test_overflowing_partials_exit_one_without_lapack_lines(command, extra):
+    # LAPACK prints its argument errors straight to file descriptor 1, so
+    # only a subprocess sees them; a partial past the float range must stop
+    # the fit before they can appear
+    big = 1e308 if not extra else 1.0
+    squares = {"nvars": 1, "u": [{"exp": [2, 0], "c": big}], "v": [{"exp": [0, 2], "c": 1.0}]}
+    proc = run_cli(command, {"map": squares, **extra})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("error:") == 1 and proc.stderr.strip().startswith("error:")
+    assert "partial derivatives overflow" in proc.stderr
 
 
 _PARAMS_TEXT = '"params": {"a": [1, 0, -1], "b": [0, 1, 0]}'

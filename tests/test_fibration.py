@@ -14,7 +14,7 @@ from perplex.algebra import (
     random_elements,
     sample_valid_params,
 )
-from perplex.errors import DegenerateAlgebra, EmptyFiber, MaskTooCoarse
+from perplex.errors import DegenerateAlgebra, EmptyFiber
 from perplex.fibration import (
     _TARGET_RES,
     _discriminant,
@@ -95,6 +95,17 @@ class TestCriticalValues:
         disc = critical_values(sum_of_squares(), complex_alg, seed=2)
         assert len(disc) > 0
         assert np.abs(disc).max() <= 1e-6
+
+    def test_two_variable_rows(self, complex_alg, hyperbolic_alg):
+        rows = _discriminant(_model(product_map(), hyperbolic_alg), 1.0, 0.05)[1]
+        assert rows.shape == (2, 4)
+        assert (rows[:, 0] == [0, 1]).all() and np.abs(rows[:, 1]).max() <= 1e-12
+        assert (rows[:, 2] == -np.inf).all() and (rows[:, 3] == np.inf).all()
+        # every converged Newton start reaches the critical value 0: one row
+        samples, rows = _discriminant(_model(sum_of_squares(), complex_alg), 1.0, 0.05, seed=0)
+        assert rows.shape == (1, 4) and rows[0, 0] == 0 and np.abs(rows[0, 1:]).max() <= 1e-12
+        assert samples.shape == (1, 2) and np.abs(samples).max() <= 1e-12
+        assert (critical_values(sum_of_squares(), complex_alg, seed=0) == samples).all()
 
     def test_degenerate_algebra_rejected(self, dual_alg):
         with pytest.raises(DegenerateAlgebra):
@@ -648,7 +659,7 @@ class TestLocalTriviality:
             local_triviality_check(square_map(), dual_alg)
 
     def test_impossible_probe_demand_raises(self, complex_alg):
-        with pytest.raises(MaskTooCoarse):
+        with pytest.raises(ValueError, match=r"probes_per_component must be in \[1, 256\]"):
             local_triviality_check(
                 square_map(), complex_alg, probes_per_component=10**6, seed=3
             )
