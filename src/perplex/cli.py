@@ -182,9 +182,13 @@ def _load_float(data: dict, key: str, default: float) -> float:
 
 
 def _check_terms(key: str, raw, lists: tuple, coeff_ok, coeff_kind: str) -> None:
-    """The terms of a ``poly`` or ``map`` document take exponents only as JSON
-    integers in [0, _MAX_EXPONENT], and coefficients that pass ``coeff_ok``;
-    a document of the wrong shape is left to its parser."""
+    """A ``poly`` or ``map`` document takes ``nvars`` only as a JSON integer of
+    at least 1, exponents only as JSON integers in [0, _MAX_EXPONENT], and
+    coefficients that pass ``coeff_ok``; a document of the wrong shape is left
+    to its parser."""
+    nvars = raw.get("nvars", 1) if isinstance(raw, dict) else 1
+    if not (_is_int(nvars) and nvars >= 1):
+        raise CliError(f"{key!r} nvars must be an integer of at least 1, got {json.dumps(nvars)}")
     for name in lists:
         terms = raw.get(name) if isinstance(raw, dict) else None
         for term in terms if isinstance(terms, list) else []:

@@ -52,7 +52,8 @@ _MAX_PROBES = 256  # per component
 _DRAWS = 16  # candidate points per probe
 _CDF_NODES = 33  # steps of u at which a rectangle's area is tabulated for the draw
 _CLOUD_SEEDS = 4096
-_MAX_CLOUD = 16384  # the linkage pairs of a cloud collapsed onto one point grow quadratically
+_MAX_CLOUD = 16384  # bounds Newton, whose memory and time grow linearly in the cloud
+_KNN = 8  # neighbours each cloud point lists for the linkage
 _CRITICAL_SEEDS = 96
 
 
@@ -153,6 +154,17 @@ def _box_interval(
     return (lo, hi) if lo <= hi else None
 
 
+def _ball_interval(
+    base: np.ndarray, step: np.ndarray, bound: float
+) -> tuple[float, float] | None:
+    """The range of tau with |base + tau * step|_2 <= bound, or None."""
+    a, b = step @ step, base @ step
+    disc = b * b - a * (base @ base - bound * bound)
+    if disc < 0.0:
+        return None
+    return (-b - np.sqrt(disc)) / a, (-b + np.sqrt(disc)) / a
+
+
 def _cone_samples(model: _Model, eta: float) -> np.ndarray:
     """Samples of the zero-divisor cone: the images of the model axes
     for Hyperbolic, nothing beyond the origin for Field."""
@@ -221,7 +233,7 @@ def critical_values(
     f is carried into its model algebra, where Field critical values are
     points and Hyperbolic ones segments parallel to the model axes,
     sampled at most 0.45 raster cells apart.  One-variable maps are solved
-    exactly, with critical points in the epsilon box.  In more variables
+    exactly, with critical points in the epsilon ball.  In more variables
     Newton from ``seed``'s starts finds the critical points whose critical
     set meets the epsilon ball; a Hyperbolic one w* adds the whole line
     {p_k = p_k(w*)}, and a value found twice is kept once.  Points are
@@ -280,14 +292,14 @@ def _point_rows(vals: np.ndarray) -> np.ndarray:
 
 def _critical_rows(model: _Model, epsilon: float) -> np.ndarray:
     """Discriminant rows of a one-variable map from its exact model critical points
-    in the epsilon box; a Hyperbolic segment spans its line's range in the box."""
+    in the epsilon ball; a Hyperbolic segment spans its line's range in the ball."""
     degree = model.coeffs.shape[1] - 1
     deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
     inv = model.inv
     if model.kind is AlgebraKind.FIELD:
         crit = np.roots(_complex(deriv))
         sources = np.column_stack([crit.real, crit.imag]) @ inv.T
-        crit = crit[np.abs(sources).max(axis=1) <= epsilon]
+        crit = crit[np.linalg.norm(sources, axis=1) <= epsilon]
         return _point_rows(np.polyval(_complex(model.coeffs), crit))
 
     turns = [np.roots(d).real for d in deriv]
@@ -297,7 +309,7 @@ def _critical_rows(model: _Model, epsilon: float) -> np.ndarray:
         # the other coordinate; each maps onto one axis-parallel segment
         crit = np.roots(deriv[axis])
         for s_star in crit.real[_is_real(crit)]:
-            j_range = _box_interval(s_star * inv[:, axis], inv[:, other], epsilon)
+            j_range = _ball_interval(s_star * inv[:, axis], inv[:, other], epsilon)
             if j_range is None:
                 continue
             # the extremes of p_other over J sit at its ends or at turning
@@ -638,6 +650,53 @@ def local_triviality_check(
     return report
 
 
+def _linkage(cloud: np.ndarray) -> tuple[np.ndarray, float]:
+    """Single-linkage labels of two or more cloud points at r, five mean
+    nearest-neighbour distances, and that mean, without listing every pair
+    within r.
+
+    The graph H links each point to those of its _KNN nearest listed nearer
+    than r, or at distance 0.  A pair within r that H lacks either joins two
+    saturated points, whose _KNN-th listed distance is at most r (a point that
+    left such a neighbour off its list has _KNN listed within r), or was listed
+    at exactly r > 0, where the rounded distance cannot tell on which side of
+    r the kd-tree's squared pair test falls.  So H's components are exact
+    unless such doubtful points lie in several of them.  Then the pairs within
+    r between those components are fetched by bisection: numbering them, one
+    dual-tree pass per bit of the number joins the doubtful points whose
+    numbers first differ at that bit."""
+    from scipy import sparse, spatial
+
+    n = len(cloud)
+    tree = spatial.cKDTree(cloud)
+    dist, idx = tree.query(cloud, k=min(_KNN, n))
+    mean_nn = float(dist[:, 1].mean())
+    r = 5.0 * mean_nn
+
+    def label(pairs: np.ndarray) -> np.ndarray:
+        graph = sparse.coo_matrix((np.ones(len(pairs), np.int8), pairs.T), shape=(n, n))
+        return sparse.csgraph.connected_components(graph, directed=False)[1]
+
+    edge = (dist < r) | (dist == 0.0)
+    rows, cols = np.nonzero(edge)
+    pairs = np.column_stack([rows, idx[rows, cols]])
+    labels = label(pairs)
+    doubt = np.flatnonzero((dist[:, -1] <= r) | ((dist == r) & ~edge).any(axis=1))
+    group = np.unique(labels[doubt], return_inverse=True)[1]
+    if not group.any():
+        return labels, mean_nn
+    found = [pairs]
+    for bit in range(int(group.max()).bit_length()):
+        side = (group >> bit) & 1 == 1
+        near = spatial.cKDTree(cloud[doubt[~side]]).sparse_distance_matrix(
+            spatial.cKDTree(cloud[doubt[side]]), r, output_type="ndarray"
+        )
+        i, j = np.flatnonzero(~side)[near["i"]], np.flatnonzero(side)[near["j"]]
+        first = (group[i] ^ group[j]) >> bit == 1  # the numbers first differ at this bit
+        found.append(np.column_stack([doubt[i[first]], doubt[j[first]]]))
+    return label(np.vstack(found)), mean_nn
+
+
 @dataclass(frozen=True)
 class FiberCloud:
     """Point-cloud sample of a two-variable fiber.
@@ -677,8 +736,12 @@ def fiber_cloud(
 
     Random seeds in the ball are projected onto the level set by
     minimum-norm Gauss-Newton steps; converged points inside the ball
-    form the cloud.  Connectivity is estimated by single linkage at five
-    mean nearest-neighbor distances.  The target is flagged as
+    form the cloud.  Connectivity is estimated by single linkage at r, five
+    mean nearest-neighbor distances, from the graph of each point's 8
+    nearest neighbours within r: only points whose 8th neighbour lies
+    within r can miss a neighbour there, and only the pairs within r
+    between that graph's components holding such points are fetched, by
+    bisecting the components.  The target is flagged as
     on-discriminant when it sits within two raster cells of the
     ``critical_values`` samples at eta 0.05 and the same seed.
     ``epsilon`` must be finite and positive, ``c`` finite and
@@ -692,7 +755,6 @@ def fiber_cloud(
         raise ValueError(f"cloud_size must be at least 1, got {cloud_size}")
     if cloud_size > _MAX_CLOUD:
         raise ValueError(f"cloud_size must be at most {_MAX_CLOUD}, got {cloud_size}")
-    from scipy import sparse, spatial
     model = _model(f, alg)
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -712,12 +774,7 @@ def fiber_cloud(
     if len(cloud) == 1:
         connectivity, strays, mean_nn = 1, 0, 0.0
     else:
-        tree = spatial.cKDTree(cloud)
-        nn = tree.query(cloud, k=2)[0][:, 1]
-        mean_nn = float(nn.mean())
-        pairs = tree.query_pairs(5.0 * mean_nn, output_type="ndarray")
-        graph = sparse.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(len(cloud),) * 2)
-        labels = sparse.csgraph.connected_components(graph, directed=False)[1]
+        labels, mean_nn = _linkage(cloud)
         sizes = np.bincount(labels)
         floor = max(4, int(0.01 * len(cloud)))
         connectivity = int((sizes >= floor).sum())

@@ -369,6 +369,17 @@ def test_fiber_cloud_rejects_zero_cloud_size():
          "cloud_size must be at most 16384, got 16385"),
         ("fiber-count", SQUARE_POLY, {"probes": 257},
          "probes_per_component must be in [1, 256], got 257"),
+        ("grad", {**SQUARE_POLY, "nvars": True}, {"point": [[1, 0]]},
+         "'poly' nvars must be an integer of at least 1, got true"),
+        ("grad", {**SQUARE_POLY, "nvars": "1"}, {"point": [[1, 0]]},
+         "'poly' nvars must be an integer of at least 1, got \"1\""),
+        ("grad", {**SQUARE_POLY, "nvars": 1.9}, {"point": [[1, 0]]},
+         "'poly' nvars must be an integer of at least 1, got 1.9"),
+        ("grad", {**SQUARE_POLY, "nvars": 0}, {"point": []},
+         "'poly' nvars must be an integer of at least 1, got 0"),
+        ("fit-quad", SQUARE_POLY,
+         {"map": {"nvars": "1", "u": [{"exp": [2, 0], "c": 1}], "v": [{"exp": [0, 2], "c": 1}]}},
+         "'map' nvars must be an integer of at least 1, got \"1\""),
     ],
 )
 def test_range_checks_exit_one(command, poly, extra, message):

@@ -16,9 +16,11 @@ from perplex.algebra import (
 )
 from perplex.errors import DegenerateAlgebra, EmptyFiber
 from perplex.fibration import (
+    _KNN,
     _TARGET_RES,
     _discriminant,
     _fibers,
+    _linkage,
     _min_norm_step,
     _model,
     _newton,
@@ -110,6 +112,27 @@ class TestCriticalValues:
     def test_degenerate_algebra_rejected(self, dual_alg):
         with pytest.raises(DegenerateAlgebra):
             critical_values(square_map(), dual_alg)
+
+    @pytest.mark.parametrize(
+        "params, linear, levels",
+        [(COMPLEX_PARAMS, -1.62, [(0, -0.972), (0, 0.972)]),
+         (HYPERBOLIC_PARAMS, -2.88, [(0, -3.258), (0, 3.258)])],
+        ids=["complex", "split"],
+    )
+    def test_one_variable_critical_points_lie_in_the_ball(self, params, linear, levels):
+        # z^3/3 + (0, linear) z has its critical points (Field) or critical
+        # lines (Hyperbolic) 1.27 and 1.2 from the origin: inside the box
+        # |x|_inf <= 1 but outside the unit ball, which both forms must use
+        alg = PerplexAlgebra(params)
+        terms = [(3, Perplex(1.0 / 3.0, 0.0)), (1, Perplex(0.0, linear))]
+        one = PerplexPolyN.from_terms(1, [((k,), c) for k, c in terms])
+        two = PerplexPolyN.from_terms(2, [((k, 0), c) for k, c in terms])
+        for epsilon, want in ((1.0, []), (2.0, levels)):
+            rows = [_discriminant(_model(f, alg), epsilon, 5.0)[1] for f in (one, two)]
+            for got in rows:
+                got = sorted(zip(got[:, 0], got[:, 1]))
+                assert np.allclose(got, want, atol=1e-3) and len(got) == len(want)
+        assert critical_values(one, alg, 1.0, 5.0).shape == (0, 2)
 
     @pytest.mark.parametrize(
         "terms",
@@ -724,3 +747,114 @@ class TestFiberCloud:
     def test_one_variable_input_rejected(self, complex_alg):
         with pytest.raises(ValueError):
             fiber_cloud(square_map(), complex_alg, Perplex(0.05, 0.0), seed=5)
+
+
+def _all_pairs_linkage(cloud):
+    """The reference: every pair within five mean nearest-neighbour distances."""
+    from scipy import sparse, spatial
+
+    tree = spatial.cKDTree(cloud)
+    mean_nn = float(tree.query(cloud, k=2)[0][:, 1].mean())
+    pairs = tree.query_pairs(5.0 * mean_nn, output_type="ndarray")
+    graph = sparse.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(len(cloud),) * 2)
+    return sparse.csgraph.connected_components(graph, directed=False)[1], mean_nn
+
+
+def _same_partition(a, b) -> bool:
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def _cube_chain(rng, blobs: int, gaps) -> np.ndarray:
+    """Blobs of the 16 corners of a unit 4-cube, each listing only its own
+    corners among its _KNN nearest (at most sqrt 2 away) yet saturated at
+    r = 5, strung along the first axis with the given gaps between faces."""
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 4)).reshape(4, -1).T
+    shifts = np.concatenate([[0.0], np.cumsum(1.0 + np.asarray(gaps, float))])[:blobs]
+    cloud = np.vstack([corners + [s, 0.0, 0.0, 0.0] for s in shifts])
+    rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    return (cloud + rng.normal(size=cloud.shape) * 1e-3) @ rotation * rng.uniform(1e-3, 1e3)
+
+
+def _linkage_cloud(family: int, rng, n: int) -> np.ndarray:
+    if family == 0:  # Gaussian
+        return rng.normal(size=(n, 4))
+    if family == 1:  # clustered
+        centres = rng.normal(size=(int(rng.integers(1, 20)), 4)) * 10.0
+        return centres[rng.integers(len(centres), size=n)] + rng.normal(size=(n, 4)) * 0.1
+    if family in (2, 3):  # groups of 20 exact or 1e-9-jittered duplicates
+        cloud = np.repeat(rng.normal(size=(-(-n // 20), 4)) * 5.0, 20, axis=0)[:n]
+        return cloud + (family == 3) * rng.normal(size=cloud.shape) * 1e-9
+    if family == 4:  # a 4-D integer grid, with ties at r
+        return rng.integers(0, 4, size=(n, 4)) * rng.choice([1.0, 0.5, 3.0])
+    if family == 5:  # two blobs whose gap straddles r
+        blob = rng.normal(size=(n, 4)) * 0.01
+        blob[n // 2:, 0] += rng.uniform(0.02, 0.15)
+        return blob
+    # saturated blobs that only pairs beyond the listed neighbours join
+    return _cube_chain(rng, int(rng.integers(2, 13)), rng.uniform(0.5, 5.5, size=12))
+
+
+@given(family=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 600))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_linkage_matches_all_pairs(family, seed, n):
+    cloud = _linkage_cloud(family, philox(seed), n)
+    labels, mean_nn = _linkage(cloud)
+    want, want_mean = _all_pairs_linkage(cloud)
+    assert _same_partition(labels, want)
+    assert mean_nn.hex() == want_mean.hex()
+
+
+def _listed_within_own_blob(cloud, blob: int) -> bool:
+    from scipy import spatial
+
+    idx = spatial.cKDTree(cloud).query(cloud, k=_KNN)[1]
+    return (idx // blob == np.arange(len(cloud))[:, None] // blob).all()
+
+
+@pytest.mark.parametrize("blobs", [2, 11])
+def test_saturated_blobs_are_joined_beyond_the_listed_neighbours(blobs):
+    cloud = _cube_chain(philox(blobs), blobs, [2.0] * blobs)
+    assert _listed_within_own_blob(cloud, 16)
+    labels, _ = _linkage(cloud)
+    assert len(np.unique(labels)) == 1
+    assert _same_partition(labels, _all_pairs_linkage(cloud)[0])
+
+
+def test_separated_duplicate_clusters_stay_apart():
+    cloud = np.repeat(philox(3).normal(size=(512, 4)) * 100.0, _KNN, axis=0)
+    labels, mean_nn = _linkage(cloud)
+    assert mean_nn == 0.0
+    assert len(np.unique(labels)) == 512
+    assert _same_partition(labels, _all_pairs_linkage(cloud)[0])
+
+
+def test_pair_listed_at_r_but_beyond_it_squared_stays_cut():
+    # every nearest neighbour is 1 away, so r = 5; the middle pair is listed
+    # at a rounded 5.0, but its squared distance is one ulp above 25
+    cloud = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [6.0, 6e-8, 0, 0], [7.0, 6e-8, 0, 0]])
+    labels, mean_nn = _linkage(cloud)
+    assert mean_nn == 1.0
+    assert labels.tolist() == [0, 0, 1, 1]
+    assert labels.tolist() == _all_pairs_linkage(cloud)[0].tolist()
+
+
+def test_one_saturated_component_lists_no_pairs(monkeypatch):
+    from scipy import spatial
+
+    class Counting(spatial.cKDTree):
+        fetches = 0
+
+        def sparse_distance_matrix(self, *args, **kwargs):
+            Counting.fetches += 1
+            return super().sparse_distance_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(spatial, "cKDTree", Counting)
+    rng = philox(4)
+    # a collapsed bulk, all saturated, and far off a cluster of _KNN - 1
+    # points that list one bulk point beyond r, so none of them is saturated
+    bulk = rng.normal(size=(2000, 4)) * 1e-5
+    cloud = np.vstack([bulk, rng.normal(size=(_KNN - 1, 4)) * 1e-6 + [1.0, 0, 0, 0]])
+    labels, _ = _linkage(cloud)
+    assert Counting.fetches == 0
+    assert len(np.unique(labels)) == 2
+    assert _same_partition(labels, _all_pairs_linkage(cloud)[0])
