@@ -44,7 +44,6 @@ from .fibration import critical_values, fiber_cloud, local_triviality_check
 from .multivar import PerplexPolyN, gradient, is_critical, loja_scan
 from .structure import classify
 
-_KNOWN_TOLS = {"eq", "fit", "critical"}
 _MAX_EXPONENT = 128  # per variable in poly and map documents; evaluation caches each power
 
 
@@ -231,72 +230,41 @@ def _load_matrix(data: dict) -> np.ndarray:
     return np.array(raw, dtype=float).reshape(2, 2)
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise CliError(f"command {args.command!r} requires --seed")
-    return args.seed
-
-
 # ---------------------------------------------------------------------------
-# command handlers: take (data, args, tols), return (payload_text, status)
+# command handlers: take (data, tols), and the seed for the commands in
+# _SEEDED; return (payload, status), the payload a JSON object or CSV text
 
 
-def _cmd_validate(data, args, tols):
+def _cmd_validate(data, tols):
     params = _load_params(data)
     report = validate_params(params, tols["eq"])
-    return _json_text(report.to_dict()), 0 if report.valid else 2
+    return report.to_dict(), 0 if report.valid else 2
 
 
-def _cmd_classify(data, args, tols):
+def _cmd_classify(data, tols):
     alg = _load_algebra(data, tols["eq"])
-    return _json_text(classify(alg, tols["eq"]).to_dict()), 0
+    return classify(alg, tols["eq"]).to_dict(), 0
 
 
-def _cmd_mul(data, args, tols):
-    alg = _load_algebra(data, tols["eq"])
-    x, y = _load_element(data, "x"), _load_element(data, "y")
-    return _json_text({"result": list(alg.mul(x, y).as_tuple())}), 0
+def _element_command(method, *keys):
+    """A command applying method to the algebra and the operands under keys,
+    read in order: elements, except the integer exponent ``k``."""
+
+    def run(data, tols):
+        alg = _load_algebra(data, tols["eq"])
+        args = [_load_int(data, key) if key == "k" else _load_element(data, key) for key in keys]
+        value = method(alg, *args)
+        return {"result": list(value.as_tuple()) if isinstance(value, Perplex) else float(value)}, 0
+
+    return run
 
 
-def _cmd_inv(data, args, tols):
-    alg = _load_algebra(data, tols["eq"])
-    x = _load_element(data, "x")
-    return _json_text({"result": list(alg.inverse(x).as_tuple())}), 0
+def _cmd_conic(data, tols):
+    coeffs = [float(v) for v in _load_algebra(data, tols["eq"]).norm_coeffs]
+    return {"zeroDivisorConic": coeffs, "normCoeffs": coeffs}, 0
 
 
-def _cmd_norm(data, args, tols):
-    alg = _load_algebra(data, tols["eq"])
-    x = _load_element(data, "x")
-    return _json_text({"result": float(alg.norm(x))}), 0
-
-
-def _cmd_conj(data, args, tols):
-    alg = _load_algebra(data, tols["eq"])
-    x = _load_element(data, "x")
-    return _json_text({"result": list(alg.conjugate(x).as_tuple())}), 0
-
-
-def _cmd_pow(data, args, tols):
-    alg = _load_algebra(data, tols["eq"])
-    x = _load_element(data, "x")
-    k = _load_int(data, "k")
-    return _json_text({"result": list(alg.power(x, k).as_tuple())}), 0
-
-
-def _cmd_conic(data, args, tols):
-    alg = _load_algebra(data, tols["eq"])
-    return (
-        _json_text(
-            {
-                "zeroDivisorConic": [float(v) for v in alg.zero_divisor_conic()],
-                "normCoeffs": [float(v) for v in alg.norm_coeffs],
-            }
-        ),
-        0,
-    )
-
-
-def _cmd_gcr_check(data, args, tols):
+def _cmd_gcr_check(data, tols):
     alg = _load_algebra(data, tols["eq"])
     m = _load_polymap(data)
     rows = []
@@ -311,10 +279,10 @@ def _cmd_gcr_check(data, args, tols):
             }
         )
     ok = all(r["zero"] for r in rows)
-    return _json_text({"residuals": rows, "satisfied": ok}), 0 if ok else 2
+    return {"residuals": rows, "satisfied": ok}, 0 if ok else 2
 
 
-def _cmd_derive(data, args, tols):
+def _cmd_derive(data, tols):
     alg = _load_algebra(data, tols["eq"])
     m = _load_polymap(data)
     if m.nvars != 1:
@@ -335,15 +303,15 @@ def _cmd_derive(data, args, tols):
         payload["value"] = list(
             derivative_from_partials(m, alg, x, tols["eq"]).as_tuple()
         )
-    return _json_text(payload), 0
+    return payload, 0
 
 
-def _cmd_fit_linear(data, args, tols):
+def _cmd_fit_linear(data, tols):
     result = fit_linear(_load_matrix(data), tols["fit"])
-    return _json_text(result.to_dict()), 0 if result.status == "Exact" else 2
+    return result.to_dict(), 0 if result.status == "Exact" else 2
 
 
-def _cmd_approx_linear(data, args, tols):
+def _cmd_approx_linear(data, tols):
     mat = _load_matrix(data)
     count = _load_int(data, "count", 5)
     if not 1 <= count <= MAX_SEQUENCE:
@@ -357,39 +325,24 @@ def _cmd_approx_linear(data, args, tols):
         }
         for m, p in seq
     ]
-    return _json_text({"status": "Exact", "steps": steps}), 0
+    return {"status": "Exact", "steps": steps}, 0
 
 
-def _cmd_fit_quad(data, args, tols):
+def _cmd_fit_quad(data, tols):
     m = _load_polymap(data)
-    try:
-        result = quad_T_matrix(m, tols["fit"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return _json_text(result.to_dict()), 0 if result.status == "Exact" else 2
+    result = quad_T_matrix(m, tols["fit"])
+    return result.to_dict(), 0 if result.status == "Exact" else 2
 
 
-def _cmd_approx_quad(data, args, tols):
+def _cmd_approx_quad(data, tols):
     m = _load_polymap(data)
     eps = _load_float(data, "eps", 1e-3)
     if not math.isfinite(eps):
         raise CliError(f"'eps' must be finite, got {eps}")
-    try:
-        repaired = approx_quadratic(m, eps, tols["fit"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    repaired = approx_quadratic(m, eps, tols["fit"])
     dist = max((repaired.u - m.u).max_coeff(), (repaired.v - m.v).max_coeff())
     fit = quad_T_matrix(repaired, tols["fit"])
-    return (
-        _json_text(
-            {
-                "repaired": repaired.to_dict(),
-                "distance": float(dist),
-                "fit": fit.to_dict(),
-            }
-        ),
-        0,
-    )
+    return {"repaired": repaired.to_dict(), "distance": float(dist), "fit": fit.to_dict()}, 0
 
 
 def _load_point(data: dict, nvars: int) -> list[Perplex]:
@@ -401,35 +354,33 @@ def _load_point(data: dict, nvars: int) -> list[Perplex]:
     return [Perplex.from_seq(pair) for pair in raw]
 
 
-def _cmd_grad(data, args, tols):
+def _cmd_grad(data, tols):
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
     pts = _load_point(data, f.nvars)
     g = gradient(f, alg, pts)
-    return _json_text({"gradient": [list(p.as_tuple()) for p in g]}), 0
+    return {"gradient": [list(p.as_tuple()) for p in g]}, 0
 
 
-def _cmd_critical(data, args, tols):
+def _cmd_critical(data, tols):
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
     pts = _load_point(data, f.nvars)
     report = is_critical(f, alg, pts, tols["critical"])
-    return _json_text(report.to_dict()), 0
+    return report.to_dict(), 0
 
 
-def _cmd_loja_scan(data, args, tols):
-    seed = _require_seed(args)
+def _cmd_loja_scan(data, tols, seed):
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
     r_min = _load_float(data, "rMin", 1e-6)
     r_max = _load_float(data, "rMax", 1e-1)
     samples = _load_int(data, "samples", 10000)
     fit = loja_scan(f, alg, r_min, r_max, samples, seed)
-    return _json_text(fit.to_dict()), 0
+    return fit.to_dict(), 0
 
 
-def _cmd_fiber_count(data, args, tols):
-    seed = _require_seed(args)
+def _cmd_fiber_count(data, tols, seed):
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
     report = local_triviality_check(
@@ -442,11 +393,10 @@ def _cmd_fiber_count(data, args, tols):
     )
     payload = report.to_dict()
     payload["counts"] = [c.majority for c in report.components]
-    return _json_text(payload), 0 if report.consistent else 2
+    return payload, 0 if report.consistent else 2
 
 
-def _cmd_fiber_cloud(data, args, tols):
-    seed = _require_seed(args)
+def _cmd_fiber_cloud(data, tols, seed):
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
     c = _load_element(data, "c")
@@ -462,8 +412,7 @@ def _cmd_fiber_cloud(data, args, tols):
     return _csv_text("x11,x12,x21,x22", cloud.points), 0
 
 
-def _cmd_discriminant(data, args, tols):
-    seed = _require_seed(args)
+def _cmd_discriminant(data, tols, seed):
     alg = _load_algebra(data, tols["eq"])
     f = _load_poly(data)
     disc = critical_values(
@@ -479,11 +428,11 @@ def _cmd_discriminant(data, args, tols):
 _HANDLERS = {
     "validate": _cmd_validate,
     "classify": _cmd_classify,
-    "mul": _cmd_mul,
-    "inv": _cmd_inv,
-    "norm": _cmd_norm,
-    "conj": _cmd_conj,
-    "pow": _cmd_pow,
+    "mul": _element_command(PerplexAlgebra.mul, "x", "y"),
+    "inv": _element_command(PerplexAlgebra.inverse, "x"),
+    "norm": _element_command(PerplexAlgebra.norm, "x"),
+    "conj": _element_command(PerplexAlgebra.conjugate, "x"),
+    "pow": _element_command(PerplexAlgebra.power, "x", "k"),
     "conic": _cmd_conic,
     "gcr-check": _cmd_gcr_check,
     "derive": _cmd_derive,
@@ -498,6 +447,7 @@ _HANDLERS = {
     "fiber-cloud": _cmd_fiber_cloud,
     "discriminant": _cmd_discriminant,
 }
+_SEEDED = {"loja-scan", "fiber-count", "fiber-cloud", "discriminant"}
 
 
 def _parse_tols(entries) -> dict[str, float]:
@@ -506,8 +456,8 @@ def _parse_tols(entries) -> dict[str, float]:
         name, sep, value = entry.partition("=")
         if not sep:
             raise CliError(f"--tol needs name=value, got {entry!r}")
-        if name not in _KNOWN_TOLS:
-            known = ", ".join(sorted(_KNOWN_TOLS))
+        if name not in tols:
+            known = ", ".join(sorted(tols))
             raise CliError(f"unknown tolerance {name!r} (known: {known})")
         try:
             num = float(value)
@@ -569,13 +519,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         tols = _parse_tols(args.tol)
         data = _read_input(args.input)
+        seed = ()
+        if args.command in _SEEDED:
+            if args.seed is None:
+                raise CliError(f"command {args.command!r} requires --seed")
+            seed = (args.seed,)
         try:
-            text, status = _HANDLERS[args.command](data, args, tols)
+            # overflow or NaN in a value a computation keeps ends it with exit 1;
+            # the library masks it where it drops such values itself
+            with np.errstate(over="raise", invalid="raise"):
+                payload, status = _HANDLERS[args.command](data, tols, *seed)
         except _Negative as exc:
-            text, status = _json_text(exc.payload), 2
+            payload, status = exc.payload, 2
         except PerplexError as exc:
-            payload = {"reason": str(exc), "error": type(exc).__name__}
-            text, status = _json_text(payload), 2
+            payload, status = {"reason": str(exc), "error": type(exc).__name__}, 2
+        except (FloatingPointError, OverflowError) as exc:
+            raise CliError("the computation overflowed or produced NaN") from exc
+        text = payload if isinstance(payload, str) else _json_text(payload)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

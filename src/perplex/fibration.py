@@ -329,13 +329,16 @@ def _poly_eval(exps: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> np.ndarra
 def _critical_points(polys: list, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Newton on grad P = 0 from the rows of w, given the n gradient
     and then the n x n Hessian entries as term lists; the Hessians'
-    pseudo-inverse lets non-isolated critical sets converge."""
+    pseudo-inverse lets non-isolated critical sets converge.  A start whose
+    iterates leave the float range turns NaN and is not converged."""
     n = w.shape[1]
     for step in range(_NEWTON_ITERS + 1):
         g = np.stack([_poly_eval(*p, w) for p in polys[:n]], axis=1)
         if step == _NEWTON_ITERS or np.abs(g).max() <= 1e-14:
             break
         h = np.stack([_poly_eval(*p, w) for p in polys[n:]], axis=1)
+        lost = ~np.isfinite(h).all(axis=1)  # a start Newton sent past the float range
+        h[lost], g[lost] = 0.0, np.nan
         w = w - np.einsum("nij,nj->ni", np.linalg.pinv(h.reshape(-1, n, n)), g)
     return w, np.abs(g).max(axis=1) <= 1e-8
 
@@ -350,19 +353,23 @@ def _critical_rows_nvar(model: _Model, epsilon: float, eta: float, seed: int) ->
     terms = [(model.exps, model.terms)] + [_model_terms(p, model.iso) for p in [*grad, *hess]]
     rng = np.random.Generator(np.random.Philox(seed))
     starts = rng.uniform(-epsilon, epsilon, (_CRITICAL_SEEDS, f.nvars, 2)) @ model.iso.T
+    # a start Newton sends past the float range fails ok, and one far out the ball
     if model.kind is AlgebraKind.FIELD:
         polys = [(e, _complex(c)) for e, c in terms]
-        w, ok = _critical_points(polys[1:], starts[..., 0] + 1j * starts[..., 1])
-        ok &= np.linalg.norm(np.stack([w.real, w.imag], 2) @ inv.T, axis=(1, 2)) <= epsilon
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, ok = _critical_points(polys[1:], starts[..., 0] + 1j * starts[..., 1])
+            ok &= np.linalg.norm(np.stack([w.real, w.imag], 2) @ inv.T, axis=(1, 2)) <= epsilon
         return _point_rows(_poly_eval(*polys[0], w[ok]))
 
     rows = []
     for axis, other in ((0, 1), (1, 0)):
         polys = [(e, c[axis]) for e, c in terms]
-        w, ok = _critical_points(polys[1:], starts[..., axis])
-        # the critical set {w} x R^n comes nearest the origin at this norm
-        near = np.linalg.norm(w, axis=1) * abs(np.linalg.det(inv)) / np.linalg.norm(inv[:, other])
-        vals = np.sort(_poly_eval(*polys[0], w[ok & (near <= epsilon)]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, ok = _critical_points(polys[1:], starts[..., axis])
+            # the critical set {w} x R^n comes nearest the origin at this norm
+            near = np.linalg.norm(w, axis=1) * abs(np.linalg.det(inv))
+            ok &= near / np.linalg.norm(inv[:, other]) <= epsilon
+        vals = np.sort(_poly_eval(*polys[0], w[ok]))
         gap = np.diff(vals, prepend=-np.inf) * np.linalg.norm(inv[:, axis])
         new = gap > _REPEAT * eta / _TARGET_RES
         rows += [(axis, v, -np.inf, np.inf) for v in vals[new]]
@@ -411,8 +418,9 @@ def _fibers(
         s, t = np.broadcast_arrays(s[:, :, None], t[:, None, :])
         w, valid = np.stack([s.real, t.real], axis=3), _is_real(s) & _is_real(t)
     owner, pts = np.nonzero(valid)[0], _apply(model.inv, w[valid])
-    pts, res = _newton(model.f, model.alg, pts, targets[owner], _POLISH_STEPS)
-    good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):  # a far root may overflow; good drops it
+        pts, res = _newton(model.f, model.alg, pts, targets[owner], _POLISH_STEPS)
+        good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
     order = np.lexsort((pts[:, 1], pts[:, 0], owner))
     order = order[good[order]]
     counts = np.bincount(owner[order], minlength=len(targets))
@@ -438,17 +446,6 @@ class ComponentReport:
     counts: tuple[int, ...]
     constant: bool
     majority: int
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "area": self.area,
-            "margin": self.margin,
-            "probes": [list(p) for p in self.probes],
-            "counts": list(self.counts),
-            "constant": self.constant,
-            "majority": self.majority,
-        }
 
 
 @dataclass(frozen=True)
@@ -560,6 +557,17 @@ def _components(model: _Model, eta: float, rows: np.ndarray) -> tuple:
     return rows, bounds, span, cdf, sorted(groups, key=lambda g: -cdf[-1, g].sum())
 
 
+def _row_gaps(inv: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The distance from each point of pts (..., 2) to the nearest of the
+    discriminant rows (axis, level, lo, hi), each the segment of algebra points
+    inv @ m with m_axis = level and lo <= m_other <= hi; inf without rows."""
+    k = rows[:, 0].astype(int)
+    base, along = rows[:, 1, None] * inv.T[k], inv.T[1 - k]
+    d = pts[..., None, :] - base
+    tau = np.clip((d * along).sum(axis=-1) / (along**2).sum(axis=-1), rows[:, 2], rows[:, 3])
+    return np.linalg.norm(d - tau[..., None] * along, axis=-1).min(axis=-1, initial=np.inf)
+
+
 def _component_reports(
     model: _Model, eta: float, epsilon: float, probes: int, seed: int, rows: np.ndarray
 ) -> tuple[list[ComponentReport], bool]:
@@ -580,11 +588,7 @@ def _component_reports(
     pts = _apply(model.inv, np.column_stack([u, lo + rng.random(len(u)) * (hi - lo)]))
     pts = pts.reshape(len(groups), -1, 2)
 
-    k = rows[:, 0].astype(int)
-    base, along = rows[:, 1, None] * model.inv.T[k], model.inv.T[1 - k]
-    d = pts[:, :, None, :] - base
-    tau = np.clip((d * along).sum(axis=-1) / (along**2).sum(axis=-1), rows[:, 2], rows[:, 3])
-    gap = np.linalg.norm(d - tau[..., None] * along, axis=-1).min(axis=-1, initial=np.inf)
+    gap = _row_gaps(model.inv, rows, pts)
     gap[np.linalg.norm(pts, axis=-1) > eta] = -np.inf
     margin = np.minimum(_PROBE_MARGIN * 2.0 * eta / _TARGET_RES, gap.max(axis=1) / 2.0)
     pick = np.argsort(np.where(gap > margin[:, None], -np.inf, -gap), axis=1, kind="stable")
@@ -742,8 +746,9 @@ def fiber_cloud(
     within r can miss a neighbour there, and only the pairs within r
     between that graph's components holding such points are fetched, by
     bisecting the components.  The target is flagged as
-    on-discriminant when it sits within two raster cells of the
-    ``critical_values`` samples at eta 0.05 and the same seed.
+    on-discriminant when it lies within two raster cells at eta 0.05
+    (7.8e-4) of an exact discriminant row found from the same seed: a
+    Field critical value, or a whole Hyperbolic critical line.
     ``epsilon`` must be finite and positive, ``c`` finite and
     ``cloud_size`` in [1, 16384].
     """
@@ -762,8 +767,9 @@ def fiber_cloud(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = epsilon * rng.uniform(0.0, 1.0, size=cloud_size) ** 0.25
     pts = radii[:, None] * dirs
-    pts, res = _newton(f, alg, pts, target, _NEWTON_ITERS)
-    good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged seed fails good
+        pts, res = _newton(f, alg, pts, target, _NEWTON_ITERS)
+        good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon)
     cloud = pts[good]
     if len(cloud) == 0:
         raise EmptyFiber(
@@ -783,7 +789,6 @@ def fiber_cloud(
             # cloud too sparse for the size floor; fall back to raw count
             connectivity, strays = len(sizes), 0
 
-    disc = _discriminant(model, epsilon, 0.05, seed)[0]
-    near = np.linalg.norm(disc - target, axis=1).min(initial=np.inf)
+    near = _row_gaps(model.inv, _critical_rows_nvar(model, epsilon, 0.05, seed), target)
     on_disc = bool(near <= 2.0 * (2.0 * 0.05 / _TARGET_RES))
     return FiberCloud(cloud, float(res[good].max()), connectivity, strays, mean_nn, on_disc)

@@ -307,9 +307,11 @@ def _loja_sample(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = radii[:, None] * dirs
 
-    values = np.abs(_evaluate([f, *_partials(f)], alg, points.T.copy()))
-    fvals, gvals = values[0].max(axis=0), values[1:].max(axis=(0, 1))
-    usable = (fvals > 0.0) & (fvals < 1.0) & (gvals > 0.0)
+    # a far sample may overflow; usable drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(_evaluate([f, *_partials(f)], alg, points.T.copy()))
+        fvals, gvals = values[0].max(axis=0), values[1:].max(axis=(0, 1))
+        usable = (fvals > 0.0) & (fvals < 1.0) & (gvals > 0.0) & (gvals < np.inf)
     return fvals[usable], gvals[usable]
 
 
@@ -324,11 +326,11 @@ def loja_scan(
     """Fit the lower envelope of log-gradient against log-value.
 
     Samples land on shells with log-uniform radii and uniform
-    directions; pairs with value norm outside (0, 1) are dropped.  The
-    log-value axis is cut into 20 bins, each bin contributes its
-    minimum log-gradient, and the least-squares line through the bin
-    minima gives the exponent estimate (slope) and constant
-    (exp of intercept).  ``samples`` must be in [1, 100000].
+    directions; pairs with value norm outside (0, 1), or whose gradient
+    overflows, are dropped.  The log-value axis is cut into 20 bins, each
+    bin contributes its minimum log-gradient, and the least-squares line
+    through the bin minima gives the exponent estimate (slope) and
+    constant (exp of intercept).  ``samples`` must be in [1, 100000].
     """
     fvals, gvals = _loja_sample(f, alg, r_min, r_max, samples, seed)
     if fvals.size < _LOJA_MIN_USABLE:

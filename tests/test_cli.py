@@ -1,12 +1,21 @@
-"""End-to-end CLI checks through subprocess, including determinism."""
+"""End-to-end CLI checks through subprocess, including determinism, and the CLI
+contract as an in-process property."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perplex import cli
 
 COMPLEX = {"a": [1, 0, -1], "b": [0, 1, 0]}
 COMPLEX_FLOAT = {"a": [1.0, 0.0, -1.0], "b": [0.0, 1.0, 0.0]}
@@ -532,3 +541,190 @@ def test_usage_errors_exit_one():
     assert neg_tol.returncode == 1
     missing_key = run_cli("mul", {"params": COMPLEX, "x": [1, 0]})
     assert missing_key.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract as a property: one valid document per command, with its
+# leaves replaced, run through cli.main in-process
+
+_SQUARE_MAP = {"nvars": 1, "u": [T(2, 0, 1.0), T(0, 2, -1.0)], "v": [T(1, 1, 2.0)]}
+CONTRACT_DOCS = {
+    "validate": {"params": HYPERBOLIC},
+    "classify": {"params": COMPLEX},
+    "mul": {"params": HYPERBOLIC, "x": [0.3, -0.7], "y": [1.1, 0.4]},
+    "inv": {"params": COMPLEX, "x": [0.3, -0.7]},
+    "norm": {"params": HYPERBOLIC, "x": [0.3, -0.7]},
+    "conj": {"params": HYPERBOLIC, "x": [0.3, -0.7]},
+    "pow": {"params": COMPLEX, "x": [0.3, -0.7], "k": 3},
+    "conic": {"params": HYPERBOLIC},
+    "gcr-check": {"params": COMPLEX, "map": {"nvars": 1, "u": [T(1, 0, 1.0)], "v": [T(0, 1, 1.0)]}},
+    "derive": {"params": COMPLEX, "map": _SQUARE_MAP, "point": [0.5, 0.25]},
+    "fit-linear": {"J": [0, -1, 1, 0]},
+    "approx-linear": {"J": [1, 0, 0, -1], "count": 3},
+    "fit-quad": {"map": {"nvars": 1, "u": [T(2, 0, 1.0), T(1, 1, 0.5)],
+                         "v": [T(2, 0, 0.5), T(0, 2, 1.0)]}},
+    "approx-quad": {"map": {"nvars": 1, "u": [T(2, 0, 1.0)], "v": [T(0, 2, 1.0), T(1, 1, 0.5)]},
+                    "eps": 0.1},
+    "grad": {"params": COMPLEX, "poly": SQUARE_POLY, "point": [[0.5, 0.25]]},
+    "critical": {"params": COMPLEX, "poly": SQUARE_POLY, "point": [[0, 0]]},
+    "loja-scan": {"params": COMPLEX, "poly": SQUARE_POLY, "rMin": 1e-4, "rMax": 0.1,
+                  "samples": 200},
+    "fiber-count": {"params": COMPLEX, "poly": SQUARE_POLY, "eta": 0.05, "epsilon": 1.0,
+                    "probes": 4},
+    "fiber-cloud": {"params": COMPLEX, "poly": SUM_SQUARES, "c": [0.05, 0.0], "epsilon": 1.0,
+                    "cloudSize": 64},
+    "discriminant": {"params": HYPERBOLIC, "poly": SUM_SQUARES, "epsilon": 1.0, "eta": 0.05},
+}
+CSV_HEADERS = {"discriminant": "c1,c2", "fiber-cloud": "x11,x12,x21,x22"}
+# the ROADMAP's 15 values, then the edges of the float range, the exponent
+# bounds and a negative zero
+LEAF_VALUES = (
+    "x", True, None, [], {}, -1, 0, 0.5, 1e308, 2**70, [[1]], [1, "2"], float("nan"),
+    float("inf"), -1e-320, 1e-300, 65, 129, -0.0,
+)
+
+
+def _leaves(doc, path=()):
+    if isinstance(doc, dict):
+        return [leaf for key, value in doc.items() for leaf in _leaves(value, (*path, key))]
+    if isinstance(doc, list):
+        return [leaf for i, value in enumerate(doc) for leaf in _leaves(value, (*path, i))]
+    return [path]
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    doc[path[0]] = _replace(doc[path[0]], path[1:], value)
+    return doc
+
+
+def run_main(command, doc):
+    """cli.main on doc with --seed 1, its exit code, stdout and stderr; numpy
+    warnings count as stderr, as they would in a process of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--seed", "1"])
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+def check_contract(command, code, stdout, stderr):
+    def refuse(token):
+        raise AssertionError(f"output holds the non-standard JSON token {token}")
+
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
+        return
+    if command in CSV_HEADERS and code == 0:
+        header, *rows = stdout.splitlines()
+        assert header == CSV_HEADERS[command] and stdout.endswith("\n")
+        for row in rows:
+            values = [float(v) for v in row.split(",")]
+            assert len(values) == header.count(",") + 1 and np.isfinite(values).all()
+    else:
+        json.loads(stdout, parse_constant=refuse)
+    if command == "fiber-cloud" and code == 0:
+        json.loads(stderr, parse_constant=refuse)
+    else:
+        assert stderr == ""
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_DOCS))
+def test_contract_documents_are_valid(command):
+    code, stdout, stderr = run_main(command, CONTRACT_DOCS[command])
+    assert code == 0, stderr
+    check_contract(command, code, stdout, stderr)
+
+
+def _mutated(command, swaps):
+    doc = CONTRACT_DOCS[command]
+    for path, value in swaps:
+        doc = _replace(doc, path, value)
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_DOCS))
+def test_cli_contract_under_every_single_leaf(command):
+    failures = []
+    for path in _leaves(CONTRACT_DOCS[command]):
+        for value in LEAF_VALUES:
+            try:
+                check_contract(command, *run_main(command, _mutated(command, [(path, value)])))
+            except Exception as exc:  # collect every broken leaf
+                failures.append(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)
+
+
+@st.composite
+def two_mutated_leaves(draw):
+    command = draw(st.sampled_from(sorted(CONTRACT_DOCS)))
+    paths = _leaves(CONTRACT_DOCS[command])
+    swap = st.tuples(st.sampled_from(paths), st.sampled_from(LEAF_VALUES))
+    return command, draw(st.lists(swap, min_size=2, max_size=2))
+
+
+@given(case=two_mutated_leaves())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_cli_contract_under_two_mutated_leaves(case):
+    command, swaps = case
+    check_contract(command, *run_main(command, _mutated(command, swaps)))
+
+
+@pytest.mark.parametrize(
+    "command, swaps",
+    [
+        # finite inputs whose computation leaves the float range part way: in
+        # approx_quadratic's gate, the draw of Newton starts, a segment's sample
+        # count, and numpy arithmetic on a kept value
+        ("approx-quad", [(("map", "v", 1, "c"), 1e308)]),
+        ("discriminant", [(("epsilon",), 1e308)]),
+        ("discriminant", [(("eta",), 1e308)]),
+        ("derive", [(("point", 0), 1e308)]),
+        ("fiber-count", [(("poly", "terms", 0, "c", 0), 1e308)]),
+    ],
+)
+def test_computation_past_the_float_range_exits_one(command, swaps):
+    code, stdout, stderr = run_main(command, _mutated(command, swaps))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: the computation overflowed or produced NaN\n"
+
+
+FAR_ROOT_POLY = {"nvars": 1, "terms": [{"exp": [64], "c": [1e-5, 0]}, {"exp": [63], "c": [1, 0]}]}
+# z1^64 - z1 + z2^2: Newton on its gradient sends some starts past the float range
+FAR_START_POLY = {
+    "nvars": 2,
+    "terms": [{"exp": [64, 0], "c": [1, 0]}, {"exp": [1, 0], "c": [-1, 0]},
+              {"exp": [0, 2], "c": [1, 0]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, check",
+    [
+        # a root near -1e5 overflows while polished, and is dropped outside the ball
+        ("fiber-count", {"params": COMPLEX, "poly": FAR_ROOT_POLY}, 0,
+         lambda out: json.loads(out)["counts"] == [63]),
+        ("fiber-count", {"params": HYPERBOLIC, "poly": FAR_ROOT_POLY}, 0,
+         lambda out: json.loads(out)["counts"] == [1, 1, 1, 1]),
+        # samples past rMax = 1e308 overflow, and are dropped as unusable
+        ("loja-scan", _mutated("loja-scan", [(("rMax",), 1e308)]), 2,
+         lambda out: json.loads(out)["reason"] == "only 4 usable samples, need 100"),
+        ("discriminant", {"params": COMPLEX, "poly": FAR_START_POLY, "eta": 1.0}, 0,
+         lambda out: len(out.splitlines()) > 1),
+        ("discriminant", {"params": HYPERBOLIC, "poly": FAR_START_POLY, "eta": 1.0}, 0,
+         lambda out: len(out.splitlines()) > 1),
+    ],
+)
+def test_values_dropped_past_the_float_range_keep_the_answer(command, doc, code, check):
+    got, stdout, stderr = run_main(command, doc)
+    assert (got, stderr) == (code, "")
+    assert check(stdout)

@@ -740,6 +740,12 @@ class TestFiberCloud:
         )
         assert cloud.on_discriminant
 
+    def test_target_on_a_critical_line_beyond_the_eta_box_is_flagged(self, hyperbolic_alg):
+        # model (0, 0.2) lies on the critical line p1 = 0 of split z1 z2, whose
+        # p2-range over the ball is [-1, 1]: far outside the 1.35 * 0.05 box
+        cloud = fiber_cloud(product_map(), hyperbolic_alg, Perplex(0.1, -0.1), seed=1)
+        assert cloud.on_discriminant
+
     def test_unreachable_target_raises(self, complex_alg):
         with pytest.raises(EmptyFiber):
             fiber_cloud(sum_of_squares(), complex_alg, Perplex(5.0, 0.0), seed=5)
