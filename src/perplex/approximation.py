@@ -126,15 +126,23 @@ def _is_scalar(mat: np.ndarray, tol: float) -> bool:
     return bool(np.abs(mat - mean * np.eye(2)).max() <= tol * scale)
 
 
-def _commutant_fit(
-    mat: np.ndarray, u: np.ndarray, tol: float
-) -> tuple[AlgebraParams, float] | None:
-    """Read parameters off span{I, mat} with identity direction u."""
-    basis = np.column_stack([u, mat @ u])
-    gate = 1e-2 * max(np.linalg.norm(u) * np.linalg.norm(mat @ u), 1e-300)
-    if abs(np.linalg.det(basis)) < gate:
-        return None
-    return params_from_span(mat, basis, tol)
+def _span_bases(mat: np.ndarray, candidates: list[np.ndarray]):
+    """(M, basis) for each candidate identity direction u whose basis (u, M u)
+    of span{I, M} = span{I, mat} clears the determinant gate, with M = mat.
+    Only when the gate rejects every u there, M is the traceless
+    mat - (tr mat / 2) I: for a near-scalar mat, M u is nearly parallel to u
+    for every u, but the traceless part has no such gap."""
+    for span in (mat, mat - 0.5 * np.trace(mat) * np.eye(2)):
+        passed = False
+        for u in candidates:
+            mu = span @ u
+            basis = np.column_stack([u, mu])
+            gate = 1e-2 * max(np.linalg.norm(u) * np.linalg.norm(mu), 1e-300)
+            if abs(np.linalg.det(basis)) >= gate:
+                passed = True
+                yield span, basis
+        if passed:
+            return
 
 
 def _finish_exact(mat: np.ndarray, params: AlgebraParams, margin: float) -> LinearFitResult:
@@ -162,7 +170,9 @@ def fit_linear(mat: np.ndarray, tol: float = TAU_FIT) -> LinearFitResult:
     entry is infeasible with a symbolic certificate.  Otherwise the
     span{I, J} construction is run over a candidate list of identity
     directions (axes, diagonals, then seeded random draws) and the
-    first candidate with comfortable margin wins.
+    first candidate with comfortable margin wins.  A near-scalar J, for
+    which every candidate's basis (u, J u) is nearly singular, is read off
+    the same span through its traceless part instead.
     """
     mat = np.asarray(mat, dtype=float).reshape(2, 2)
     scale = max(1.0, float(np.abs(mat).max()))
@@ -186,8 +196,8 @@ def fit_linear(mat: np.ndarray, tol: float = TAU_FIT) -> LinearFitResult:
         candidates.append(np.array([np.cos(angle), np.sin(angle)]))
 
     best: tuple[AlgebraParams, float] | None = None
-    for u in candidates:
-        hit = _commutant_fit(mat, u, tol)
+    for span, basis in _span_bases(mat, candidates):
+        hit = params_from_span(span, basis, tol)
         if hit is None:
             continue
         if hit[1] >= _MARGIN_ACCEPT:

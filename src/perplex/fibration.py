@@ -55,6 +55,7 @@ _CLOUD_SEEDS = 4096
 _MAX_CLOUD = 16384  # bounds Newton, whose memory and time grow linearly in the cloud
 _KNN = 8  # neighbours each cloud point lists for the linkage
 _CRITICAL_SEEDS = 96
+_EXPONENT_GAP = 1020  # coefficients this many binades apart may divide past the float range
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -134,9 +135,40 @@ def _roots(head: np.ndarray, consts: np.ndarray) -> np.ndarray:
         if len(poly) and size > 0:
             comp = np.zeros((len(poly), size, size), poly.dtype)
             comp[:, 1:, :-1] = np.eye(size - 1)
+            poly, far, shift = _in_range(poly)
             comp[:, 0] = -poly[:, 1:] / poly[:, :1]
-            out[rows, :size] = np.linalg.eigvals(comp)
+            roots = np.linalg.eigvals(comp)
+            if far.any():
+                roots[far] = _ldexp(roots[far], shift[:, None])
+            out[rows, :size] = roots
     return out
+
+
+def _in_range(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """poly with each row where some -c_k / c_0 may leave the float range
+    rewritten in w = z / 2^s, its leading coefficient brought near 1; the mask
+    of those rows, and their s.  s comes from the Fujiwara bound
+    |z| <= 2 max_k |c_k / c_0|^(1/k), read off binary exponents, so that every
+    ratio in w is below 1."""
+    mags = np.abs(poly.view(float)).reshape(*poly.shape, -1).max(axis=2)
+    _, exps = np.frexp(mags)  # 2^(e-1) <= the larger part < 2^e
+    exps[mags == 0.0] = -(2**20)  # a zero coefficient bounds nothing
+    far = exps[:, 1:].max(axis=1) - exps[:, 0] > _EXPONENT_GAP
+    if not far.any():
+        return poly, far, None
+    exps = exps[far]
+    k = np.arange(poly.shape[1])
+    shift = (-((exps[:, :1] - exps[:, 1:] - 2) // k[1:])).max(axis=1)
+    poly = poly.copy()
+    poly[far] = _ldexp(poly[far], -exps[:, :1] - shift[:, None] * k)
+    return poly, far, shift
+
+
+def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x * 2^e for real or complex x, exact while the result stays normal."""
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return np.ldexp(x, e)
 
 
 def _box_interval(

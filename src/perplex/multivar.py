@@ -20,6 +20,7 @@ over all samples would mix directions where the bound is slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -301,16 +302,18 @@ def _loja_sample(
     if const > 1e-12 * max(1.0, f.max_coeff()):
         raise ValueError("scan requires f(0) = 0")
     rng = np.random.Generator(np.random.Philox(seed))
-    dim = 2 * f.nvars
     radii = np.exp(rng.uniform(np.log(r_min), np.log(r_max), size=samples))
-    dirs = rng.normal(size=(samples, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    points = radii[:, None] * dirs
+    dirs = rng.normal(size=(samples, 2 * f.nvars)).T
+    # each sample's sum of squares in np.linalg.norm's order, ((d0^2 + d1^2) + d2^2) + d3^2,
+    # so that seeded scans keep their bits
+    lengths = np.sqrt(sum(d * d for d in dirs))
+    coords = radii * (dirs / lengths)
 
     # a far sample may overflow; usable drops it
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.abs(_evaluate([f, *_partials(f)], alg, points.T.copy()))
-        fvals, gvals = values[0].max(axis=0), values[1:].max(axis=(0, 1))
+        (fu, fv), *grads = _evaluate([f, *_partials(f)], alg, coords)
+        fvals = np.maximum(np.abs(fu), np.abs(fv))
+        gvals = reduce(np.maximum, [np.abs(w) for g in grads for w in g])
         usable = (fvals > 0.0) & (fvals < 1.0) & (gvals > 0.0) & (gvals < np.inf)
     return fvals[usable], gvals[usable]
 
@@ -327,10 +330,13 @@ def loja_scan(
 
     Samples land on shells with log-uniform radii and uniform
     directions; pairs with value norm outside (0, 1), or whose gradient
-    overflows, are dropped.  The log-value axis is cut into 20 bins, each
-    bin contributes its minimum log-gradient, and the least-squares line
-    through the bin minima gives the exponent estimate (slope) and
-    constant (exp of intercept).  ``samples`` must be in [1, 100000].
+    overflows, are dropped.  The log-value range [lo, hi] is cut at 21
+    evenly spaced edges e_0 = lo, ..., e_20 = hi into 20 half-open bins
+    [e_b, e_{b+1}), the value hi itself going into the last bin.  Each
+    populated bin contributes its minimum log-gradient, and the
+    least-squares line through the bin minima gives the exponent estimate
+    (slope) and constant (exp of intercept).  ``samples`` must be in
+    [1, 100000].
     """
     fvals, gvals = _loja_sample(f, alg, r_min, r_max, samples, seed)
     if fvals.size < _LOJA_MIN_USABLE:
@@ -342,14 +348,15 @@ def loja_scan(
     if hi - lo < 1e-9:
         raise InsufficientSamples("log-value range is degenerate; widen the radii")
     edges = np.linspace(lo, hi, _LOJA_BINS + 1)
-    idx = np.clip(np.digitize(logf, edges) - 1, 0, _LOJA_BINS - 1)
-    centers, minima = [], []
-    for b in range(_LOJA_BINS):
-        mask = idx == b
-        if not mask.any():
-            continue
-        centers.append(0.5 * (edges[b] + edges[b + 1]))
-        minima.append(float(logg[mask].min()))
+    # the arithmetic bin is off by at most one near an edge; one step against the
+    # edges themselves gives np.digitize's bin, with hi clipped into the last
+    idx = np.minimum(((logf - lo) * (_LOJA_BINS / (hi - lo))).astype(np.intp), _LOJA_BINS - 1)
+    idx -= logf < edges[idx]
+    idx += (logf >= edges[idx + 1]) & (idx < _LOJA_BINS - 1)
+    minima = np.full(_LOJA_BINS, np.inf)
+    np.minimum.at(minima, idx, logg)
+    filled = minima < np.inf
+    centers, minima = (0.5 * (edges[:-1] + edges[1:]))[filled].tolist(), minima[filled].tolist()
     if len(centers) < 2:
         raise InsufficientSamples("fewer than two populated bins; widen the radii")
     design = np.column_stack([centers, np.ones(len(centers))])

@@ -10,6 +10,7 @@ from perplex.algebra import (
     validate_params,
 )
 from perplex.approximation import (
+    MAX_SEQUENCE,
     approx_linear_sequence,
     approx_quadratic,
     fit_linear,
@@ -153,14 +154,33 @@ def test_approx_sequence_constant_when_already_exact():
 
 
 def test_approx_sequence_upper_triangular():
-    # the near-scalar diagonal matrix defeats every rotation and takes the
-    # additive fallback
+    # every rotation of the near-scalar diagonal matrix is near scalar too, and
+    # fits through its traceless part
     for mat in (np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([[0.8871, 0.0], [0.0, 0.8979]])):
         seq = approx_linear_sequence(mat, 5)
         bound = 2.0 * np.linalg.norm(mat, 2)
         for k, (jk, _) in enumerate(seq, start=1):
             assert np.linalg.norm(jk - mat, 2) <= bound / k
             assert fit_linear(jk).status == "Exact"
+
+
+@pytest.mark.parametrize("diagonal", [(0.8871, 0.8979), (1.0, 1.01)])
+def test_approx_sequence_near_scalar_reaches_the_longest(diagonal):
+    mat = np.diag(diagonal)
+    seq = approx_linear_sequence(mat, MAX_SEQUENCE)
+    assert len(seq) == MAX_SEQUENCE
+    dists = [np.linalg.norm(jk - mat, 2) for jk, _ in seq]
+    assert all(b < a for a, b in zip(dists, dists[1:]))
+    assert dists[-1] <= 2.0 * np.linalg.norm(mat, 2) / MAX_SEQUENCE
+    jk, params = seq[-1]
+    assert fit_linear(jk).status == "Exact" and validate_params(params).valid
+
+
+def test_near_scalar_fit_reads_the_traceless_part():
+    mat = np.array([[0.8871, 1e-3], [2e-3, 0.8979]])
+    fit = fit_linear(mat)
+    assert fit.status == "Exact" and fit.residual <= 1e-12
+    assert np.abs(PerplexAlgebra(fit.params).left_mult_matrix(fit.derivative) - mat).max() <= 1e-12
 
 
 # -- quad_T_matrix ---------------------------------------------------- #

@@ -584,6 +584,14 @@ LEAF_VALUES = (
 )
 
 
+def test_loja_scan_stdout_is_the_recorded_bytes():
+    # recorded from the scanner's first form, with one Python pass per bin
+    want = (Path(__file__).parent / "data" / "loja_scan_seed7.json").read_text()
+    proc = run_cli("loja-scan", CONTRACT_DOCS["loja-scan"], "--seed", "7")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == want
+
+
 def _leaves(doc, path=()):
     if isinstance(doc, dict):
         return [leaf for key, value in doc.items() for leaf in _leaves(value, (*path, key))]
@@ -707,6 +715,9 @@ FAR_START_POLY = {
 }
 
 
+TINY_LEAD_POLY = {"nvars": 1, "terms": [{"exp": [2], "c": [-1e-320, 0]}]}
+
+
 @pytest.mark.parametrize(
     "command, doc, code, check",
     [
@@ -722,6 +733,11 @@ FAR_START_POLY = {
          lambda out: len(out.splitlines()) > 1),
         ("discriminant", {"params": HYPERBOLIC, "poly": FAR_START_POLY, "eta": 1.0}, 0,
          lambda out: len(out.splitlines()) > 1),
+        # -c / lead leaves the float range in the companion matrix; the roots,
+        # near 1e159, do not, and none is in the ball
+        ("fiber-count", {"params": COMPLEX, "poly": TINY_LEAD_POLY}, 0,
+         lambda out: set(json.loads(out)["counts"]) == {0}
+         and {n for _, n in json.loads(out)["fiberCounts"][0]} == {0}),
     ],
 )
 def test_values_dropped_past_the_float_range_keep_the_answer(command, doc, code, check):

@@ -484,6 +484,21 @@ def test_exact_partition_properties(kind, seed, degree):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("lead, const", [(-1e-320, 0.03), (5e-324, -1.0), (1e-10, -1e308)])
+def test_batched_roots_past_the_float_range_of_the_ratio(dtype, lead, const):
+    # -const / lead leaves the float range; the roots of lead z^k + const do not
+    lead = lead * (1 + 1j if dtype is complex else 1)
+    for k in (2, 3):
+        head = np.zeros(k, dtype)
+        head[0] = lead
+        got = _roots(head, np.array([const], dtype))[0]
+        radius = (-const / 2.0**600 / lead + 0j) ** (1 / k) * 2.0 ** (600 / k)
+        want = radius * np.exp(2j * np.pi * np.arange(k) / k)
+        assert np.isfinite(got).all()
+        assert (np.abs(got[:, None] - want).min(axis=0) <= 1e-12 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
 def test_batched_roots_match_np_roots(dtype):
     rng = philox(3 if dtype is float else 4)
     for degree in range(1, 7):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perplex import multivar
 from perplex.algebra import (
+    COMPLEX_PARAMS,
     DUAL_BOUNDARY_PARAMS,
+    HYPERBOLIC_PARAMS,
     Perplex,
     PerplexAlgebra,
     random_elements,
@@ -15,6 +18,7 @@ from perplex.algebra import (
 from perplex.calculus import gcr_residual
 from perplex.errors import InsufficientSamples
 from perplex.multivar import (
+    LojaFit,
     PerplexPolyN,
     directional_derivative,
     gradient,
@@ -23,6 +27,9 @@ from perplex.multivar import (
     loja_violations,
     partial_derivative,
     real_jacobian,
+)
+from perplex.multivar import (
+    _LOJA_BINS, _LOJA_MAX_SAMPLES, _LOJA_MIN_USABLE, _evaluate, _partials,
 )
 
 from conftest import philox
@@ -320,6 +327,163 @@ def test_loja_scan_guards(complex_alg):
         loja_scan(single_power(2), complex_alg, 1e-1, 1e-4, 1000, seed=1)
     with pytest.raises(InsufficientSamples):
         loja_scan(single_power(2), complex_alg, 1e-4, 1e-1, 50, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the scanner against its first form: rows normalized by np.linalg.norm, values
+# through a transposed copy, and one Python pass per bin with np.digitize
+
+
+def reference_loja_sample(f, alg, r_min, r_max, samples, seed):
+    if not (np.isfinite(r_min) and np.isfinite(r_max)):
+        raise ValueError(f"rMin and rMax must be finite, got {r_min} and {r_max}")
+    if not 0.0 < r_min < r_max:
+        raise ValueError("need 0 < rMin < rMax")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > _LOJA_MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_LOJA_MAX_SAMPLES}, got {samples}")
+    const = f.constant_term().max_norm()
+    if const > 1e-12 * max(1.0, f.max_coeff()):
+        raise ValueError("scan requires f(0) = 0")
+    rng = np.random.Generator(np.random.Philox(seed))
+    dim = 2 * f.nvars
+    radii = np.exp(rng.uniform(np.log(r_min), np.log(r_max), size=samples))
+    dirs = rng.normal(size=(samples, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points = radii[:, None] * dirs
+
+    # a far sample may overflow; usable drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(_evaluate([f, *_partials(f)], alg, points.T.copy()))
+        fvals, gvals = values[0].max(axis=0), values[1:].max(axis=(0, 1))
+        usable = (fvals > 0.0) & (fvals < 1.0) & (gvals > 0.0) & (gvals < np.inf)
+    return fvals[usable], gvals[usable]
+
+
+def reference_loja_fit(fvals, gvals):
+    if fvals.size < _LOJA_MIN_USABLE:
+        raise InsufficientSamples(
+            f"only {fvals.size} usable samples, need {_LOJA_MIN_USABLE}"
+        )
+    logf, logg = np.log(fvals), np.log(gvals)
+    lo, hi = float(logf.min()), float(logf.max())
+    if hi - lo < 1e-9:
+        raise InsufficientSamples("log-value range is degenerate; widen the radii")
+    edges = np.linspace(lo, hi, _LOJA_BINS + 1)
+    idx = np.clip(np.digitize(logf, edges) - 1, 0, _LOJA_BINS - 1)
+    centers, minima = [], []
+    for b in range(_LOJA_BINS):
+        mask = idx == b
+        if not mask.any():
+            continue
+        centers.append(0.5 * (edges[b] + edges[b + 1]))
+        minima.append(float(logg[mask].min()))
+    if len(centers) < 2:
+        raise InsufficientSamples("fewer than two populated bins; widen the radii")
+    design = np.column_stack([centers, np.ones(len(centers))])
+    (slope, intercept), *_ = np.linalg.lstsq(design, np.array(minima), rcond=None)
+    theta_hat, c_hat = float(slope), float(np.exp(intercept))
+    violations = int(np.sum(gvals < c_hat * fvals**theta_hat))
+    return LojaFit(
+        theta_hat=theta_hat,
+        c_hat=c_hat,
+        bins=tuple(zip(centers, minima)),
+        violations=violations,
+        sample_count=int(fvals.size),
+    )
+
+
+def reference_loja_violations(f, alg, r_min, r_max, samples, seed, theta, c):
+    fvals, gvals = reference_loja_sample(f, alg, r_min, r_max, samples, seed)
+    if fvals.size < _LOJA_MIN_USABLE:
+        raise InsufficientSamples(
+            f"only {fvals.size} usable samples, need {_LOJA_MIN_USABLE}"
+        )
+    return int(np.sum(gvals < c * fvals**theta)), int(fvals.size)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InsufficientSamples as exc:
+        return f"InsufficientSamples: {exc}"
+
+
+_SCAN_RADII = [(1e-4, 1e-1), (1e-8, 1e-5), (1e-3, 2.0), (0.5, 40.0), (1e-6, 1e-6 + 1e-15)]
+
+
+@given(
+    params_kind=st.sampled_from(["complex", "split", "dual", "sampled"]),
+    nvars=st.sampled_from([1, 2]),
+    radii=st.sampled_from(_SCAN_RADII),
+    samples=st.integers(100, 100_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_loja_scan_matches_the_reference_bit_for_bit(params_kind, nvars, radii, samples, seed):
+    rng = philox(seed)
+    params = {"complex": COMPLEX_PARAMS, "split": HYPERBOLIC_PARAMS,
+              "dual": DUAL_BOUNDARY_PARAMS}.get(params_kind) or sample_valid_params(rng)
+    alg = PerplexAlgebra(params)
+    exps = rng.integers(0, 4, size=(int(rng.integers(1, 4)), nvars))
+    exps[exps.sum(axis=1) == 0, 0] = 1  # no constant term
+    f = PerplexPolyN.from_terms(nvars, zip(exps, random_elements(rng, len(exps))))
+    r_min, r_max = radii
+
+    got = _outcome(lambda: loja_scan(f, alg, r_min, r_max, samples, seed))
+    want = _outcome(
+        lambda: reference_loja_fit(*reference_loja_sample(f, alg, r_min, r_max, samples, seed))
+    )
+    assert (got if isinstance(got, str) else got.to_dict()) == (
+        want if isinstance(want, str) else want.to_dict()
+    )
+    if isinstance(want, str):
+        return
+    args = f, alg, r_min, r_max, samples, seed + 1, want.theta_hat, want.c_hat
+    assert _outcome(lambda: loja_violations(*args)) == _outcome(
+        lambda: reference_loja_violations(*args)
+    )
+
+
+def _log_preimage(target):
+    """A float x > 0 with np.log(x) == target exactly."""
+    x = np.exp(target)
+    for _ in range(200):
+        y = np.log(x)
+        if y == target:
+            return x
+        x = np.nextafter(x, np.inf if y < target else 0.0)
+    raise AssertionError(f"no float has log {target!r}")
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_loja_bins_are_half_open_with_hi_in_the_last(monkeypatch, below):
+    """A log-value exactly on an interior edge e_b falls in bin b, the float
+    just below it in bin b - 1, and hi in the last bin, as np.digitize
+    places them."""
+    lo, hi = -20.0, -2.0
+    edges = np.linspace(lo, hi, _LOJA_BINS + 1)
+    if below:
+        logs, bins = np.nextafter(edges[1:], -np.inf), np.arange(_LOJA_BINS)
+    else:
+        logs, bins = edges[1:], np.minimum(np.arange(1, _LOJA_BINS + 1), _LOJA_BINS - 1)
+    # gradients ordered so that a sample put one bin off would be the smallest
+    # in the bin that took it
+    order = np.arange(_LOJA_BINS) if below else -np.arange(_LOJA_BINS)
+    fvals = np.array([_log_preimage(lo), _log_preimage(hi), *map(_log_preimage, logs)])
+    gvals = np.concatenate([[1e-3, 1e-3], np.exp(-50.0 + order)])
+    fvals = np.concatenate([fvals, np.exp(philox(3).uniform(lo, hi, 200))])
+    gvals = np.concatenate([gvals, np.full(200, 1e-3)])
+    monkeypatch.setattr(multivar, "_loja_sample", lambda *args: (fvals, gvals))
+    fit = loja_scan(single_power(2), PerplexAlgebra(COMPLEX_PARAMS), 1e-4, 1e-1, 222, 1)
+
+    assert np.log(fvals[2:22]).tolist() == logs.tolist()
+    assert (np.clip(np.digitize(logs, edges) - 1, 0, _LOJA_BINS - 1) == bins).all()
+    minima = [m for _, m in fit.bins]
+    for b in np.unique(bins):
+        assert minima[b] == np.log(gvals[2:22][bins == b]).min()
+    assert fit.to_dict() == reference_loja_fit(fvals, gvals).to_dict()
 
 
 def test_polyn_json_round_trip():
