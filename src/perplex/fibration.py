@@ -12,23 +12,25 @@ real Jacobian drops rank exactly where grad P = 0, or grad p1 = 0 or
 grad p2 = 0, so the discriminant is one list of rows: Field critical
 values are points, which leave the punctured disk connected, and
 Hyperbolic ones segments parallel to the model axes.  One-variable
-critical points are exact model roots; in more variables seeded Newton
-finds them.  Hyperbolic disks are also cut along the zero-divisor cone,
-the model axes: that only refines the partition, and keeps probes from
-where inverse images degenerate.  The pieces are unions of model
-rectangles meeting the disk's ellipse, whose chords give their exact
-areas; probes are drawn in them directly.  Newton evaluates f and its
-perplex partials and, by the generalized Cauchy-Riemann structure, takes the
-Jacobian's x_ij column as e_j times the i-th partial.  One-variable fibers
-are model roots, carried back and Newton-polished; two-variable fibers are
-surfaces, sampled as point clouds by minimum-norm Gauss-Newton projection
-and summarized by a single-linkage connectivity estimate (a diagnostic,
-not certified topology).  Dual numbers have no finite model and are
-rejected.
+critical points and fibers are exact model roots within the ball's reach,
+where a leading term too small to move a double is dropped: no far root is
+computed.  In more variables seeded Newton finds the critical points.
+Hyperbolic disks are also cut along the zero-divisor cone, the model axes:
+that only refines the partition, and keeps probes from where inverse images
+degenerate.  The pieces are unions of model rectangles meeting the disk's
+ellipse, whose chords give their exact areas; probes are drawn in them
+directly.  Newton evaluates f and its perplex partials and, by the
+generalized Cauchy-Riemann structure, takes the Jacobian's x_ij column as
+e_j times the i-th partial.  One-variable fibers are carried back and
+Newton-polished; two-variable fibers are surfaces, sampled as point clouds
+by minimum-norm Gauss-Newton projection and summarized by a single-linkage
+connectivity estimate (a diagnostic, not certified topology).  Dual numbers
+have no finite model and are rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,8 @@ _CLOUD_SEEDS = 4096
 _MAX_CLOUD = 16384  # bounds Newton, whose memory and time grow linearly in the cloud
 _KNN = 8  # neighbours each cloud point lists for the linkage
 _CRITICAL_SEEDS = 96
-_EXPONENT_GAP = 1020  # coefficients this many binades apart may divide past the float range
+_NEGLIGIBLE = 62  # binades a dropped term's bound trails a lower one's: 2^-60, with rounding
+_BALL_SLACK = 1e-12  # how far past epsilon a polished fiber point is still kept
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -82,7 +85,8 @@ class _Model:
     coefficient is row 0 + i * row 1, for Hyperbolic the rows belong to p1
     and p2.  For one variable ``coeffs`` holds the same rows dense, highest
     degree first (numpy's order); it is None otherwise.  ``inv`` carries
-    model points back to the algebra.
+    model points back to the algebra.  ``reach`` is twice sum |iso_ij|, a bound
+    on ||iso||_2, so the epsilon ball lies in |w| <= reach * epsilon / 2.
     """
 
     f: PerplexPolyN
@@ -93,6 +97,7 @@ class _Model:
     exps: np.ndarray
     terms: np.ndarray
     coeffs: np.ndarray | None
+    reach: float
 
 
 def _model_terms(f: PerplexPolyN, iso: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +115,8 @@ def _model(f: PerplexPolyN, alg: PerplexAlgebra) -> _Model:
         degree = int(exps.max(initial=0))
         coeffs = np.zeros((2, degree + 1))
         coeffs[:, degree - exps[:, 0]] = terms
-    return _Model(f, alg, cls.kind, cls.iso, np.linalg.inv(cls.iso), exps, terms, coeffs)
+    reach = 2.0 * float(np.abs(cls.iso).sum())
+    return _Model(f, alg, cls.kind, cls.iso, np.linalg.inv(cls.iso), exps, terms, coeffs, reach)
 
 
 def _complex(rows: np.ndarray) -> np.ndarray:
@@ -121,54 +127,45 @@ def _is_real(roots: np.ndarray) -> np.ndarray:
     return np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
 
 
-def _roots(head: np.ndarray, consts: np.ndarray) -> np.ndarray:
+def _roots(head: np.ndarray, consts: np.ndarray, reach: float) -> np.ndarray:
     """np.roots of head with each of consts appended as its constant term, a row
-    per constant, from stacked companion matrices.  Like np.roots, a zero
-    constant drops the trailing zeros and returns their roots as exact zeros."""
-    head = np.trim_zeros(head, "f")
-    out, zero = np.zeros((len(consts), len(head)), complex), consts == 0
-    for rows, poly in (
-        (~zero, np.column_stack([np.tile(head, (len(consts), 1)), consts])),
-        (zero, np.tile(np.trim_zeros(head, "b"), (len(consts), 1))),
-    ):
-        poly, size = poly[rows], poly.shape[1] - 1
-        if len(poly) and size > 0:
-            comp = np.zeros((len(poly), size, size), poly.dtype)
-            comp[:, 1:, :-1] = np.eye(size - 1)
-            poly, far, shift = _in_range(poly)
-            comp[:, 0] = -poly[:, 1:] / poly[:, :1]
-            roots = np.linalg.eigvals(comp)
-            if far.any():
-                roots[far] = _ldexp(roots[far], shift[:, None])
-            out[rows, :size] = roots
+    per constant, from stacked companion matrices.  Like np.roots, leading zeros
+    lower the degree, and a zero constant drops the trailing zeros and returns
+    their roots as exact zeros.  Leading terms too small to move a root within
+    reach are dropped like zeros (``_lead``): their roots come back as inf."""
+    nonzero = np.flatnonzero(head)
+    head, zero = head[nonzero[0] if len(nonzero) else len(head) :], consts == 0
+    out = np.zeros((len(consts), len(head)), complex)
+    if len(head) and zero.any():  # head w = w^(m+1) q(w): the roots of q, then zeros
+        q = head[: nonzero[-1] - nonzero[0] + 1]
+        out[zero, : len(q) - 1] = _roots(q[:-1], q[-1:], reach)
+    consts = consts[~zero]
+    size = len(head) - _lead(head.tolist(), consts.tolist(), reach)
+    out[~zero, size:] = np.inf
+    if len(consts) and size > 0:
+        poly = np.column_stack([np.tile(head[len(head) - size :], (len(consts), 1)), consts])
+        comp = np.zeros((len(poly), size, size), poly.dtype)
+        comp[:, 1:, :-1] = np.eye(size - 1)
+        comp[:, 0] = -poly[:, 1:] / poly[:, :1]
+        out[~zero, :size] = np.linalg.eigvals(comp)
     return out
 
 
-def _in_range(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """poly with each row where some -c_k / c_0 may leave the float range
-    rewritten in w = z / 2^s, its leading coefficient brought near 1; the mask
-    of those rows, and their s.  s comes from the Fujiwara bound
-    |z| <= 2 max_k |c_k / c_0|^(1/k), read off binary exponents, so that every
-    ratio in w is below 1."""
-    mags = np.abs(poly.view(float)).reshape(*poly.shape, -1).max(axis=2)
-    _, exps = np.frexp(mags)  # 2^(e-1) <= the larger part < 2^e
-    exps[mags == 0.0] = -(2**20)  # a zero coefficient bounds nothing
-    far = exps[:, 1:].max(axis=1) - exps[:, 0] > _EXPONENT_GAP
-    if not far.any():
-        return poly, far, None
-    exps = exps[far]
-    k = np.arange(poly.shape[1])
-    shift = (-((exps[:, :1] - exps[:, 1:] - 2) // k[1:])).max(axis=1)
-    poly = poly.copy()
-    poly[far] = _ldexp(poly[far], -exps[:, :1] - shift[:, None] * k)
-    return poly, far, shift
-
-
-def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """x * 2^e for real or complex x, exact while the result stays normal."""
-    if np.iscomplexobj(x):
-        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
-    return np.ldexp(x, e)
+def _lead(head: list, consts: list, reach: float) -> int:
+    """How many leading terms of head, highest degree first, stay under 2^-60 of
+    some lower term on |w| <= reach, the smallest of the nonzero consts standing
+    for the constant term; none for an unbounded reach or no consts.  Sizes come
+    from binary exponents: if 2^(e-1) <= max(|Re c|, |Im c|) < 2^e and reach < 2^r,
+    then c_n w^n / c_k w^k is below 2^(e_n + n r - e_k - k r + 3/2) there."""
+    if reach == math.inf or not consts:
+        return 0
+    r, n, lead = math.frexp(reach)[1], len(head), 0
+    mags = [max(abs(c.real), abs(c.imag)) for c in head + consts]
+    mags = mags[:n] + [min(mags[n:])]
+    sizes = [(math.frexp(m)[1] if m else -math.inf) + (n - k) * r for k, m in enumerate(mags)]
+    while lead < n and sizes[lead] + _NEGLIGIBLE <= max(sizes[lead + 1 :]):
+        lead += 1
+    return lead
 
 
 def _box_interval(
@@ -325,28 +322,28 @@ def _point_rows(vals: np.ndarray) -> np.ndarray:
 def _critical_rows(model: _Model, epsilon: float) -> np.ndarray:
     """Discriminant rows of a one-variable map from its exact model critical points
     in the epsilon ball; a Hyperbolic segment spans its line's range in the ball."""
-    degree = model.coeffs.shape[1] - 1
-    deriv = model.coeffs[:, :-1] * np.arange(degree, 0, -1)
-    inv = model.inv
+    deriv = model.coeffs[:, :-1] * np.arange(model.coeffs.shape[1] - 1, 0, -1)
+    inv, reach = model.inv, model.reach * epsilon
     if model.kind is AlgebraKind.FIELD:
-        crit = np.roots(_complex(deriv))
+        crit = _roots(_complex(deriv[:, :-1]), _complex(deriv[:, -1:]), reach).ravel()
+        crit = crit[np.abs(crit) <= reach]
         sources = np.column_stack([crit.real, crit.imag]) @ inv.T
         crit = crit[np.linalg.norm(sources, axis=1) <= epsilon]
         return _point_rows(np.polyval(_complex(model.coeffs), crit))
 
-    turns = [np.roots(d).real for d in deriv]
+    turns = [_roots(d[:-1], d[-1:], reach).ravel() for d in deriv]
     rows = []
     for axis, other in ((0, 1), (1, 0)):
         # critical lines {model coordinate `axis` = s*}, parametrised by
         # the other coordinate; each maps onto one axis-parallel segment
-        crit = np.roots(deriv[axis])
-        for s_star in crit.real[_is_real(crit)]:
+        crit = turns[axis]
+        for s_star in crit.real[_is_real(crit) & (np.abs(crit) <= reach)]:
             j_range = _ball_interval(s_star * inv[:, axis], inv[:, other], epsilon)
             if j_range is None:
                 continue
             # the extremes of p_other over J sit at its ends or at turning
             # points; a non-real root's real part only adds a value inside
-            t = turns[other]
+            t = turns[other].real
             cand = np.concatenate([j_range, t[(t > j_range[0]) & (t < j_range[1])]])
             vals = np.polyval(model.coeffs[other], cand)
             rows.append((axis, np.polyval(model.coeffs[axis], s_star), vals.min(), vals.max()))
@@ -440,19 +437,21 @@ def _fibers(
     model: _Model, targets: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fibers over all rows of targets in one solve: the kept points grouped
-    by target, sorted by coordinates within a group, and the count per target."""
+    by target, sorted by coordinates within a group, and the count per target.
+    Model roots beyond the ball's reach are dropped before the Newton polish."""
     consts = model.coeffs[:, -1] - (model.iso @ targets[:, :, None])[:, :, 0]
+    reach = model.reach * (epsilon + _BALL_SLACK)
     if model.kind is AlgebraKind.FIELD:
-        z = _roots(_complex(model.coeffs[:, :-1]), _complex(consts.T))
-        w, valid = np.stack([z.real, z.imag], axis=2), np.ones(z.shape, bool)
+        z = _roots(_complex(model.coeffs[:, :-1]), _complex(consts.T), reach)
+        w, valid = np.stack([z.real, z.imag], axis=2), np.abs(z) <= reach
     else:  # every pair (s, t) of real model roots, s-major
-        s, t = (_roots(model.coeffs[j, :-1], consts[:, j]) for j in (0, 1))
+        s, t = (_roots(model.coeffs[j, :-1], consts[:, j], reach) for j in (0, 1))
         s, t = np.broadcast_arrays(s[:, :, None], t[:, None, :])
-        w, valid = np.stack([s.real, t.real], axis=3), _is_real(s) & _is_real(t)
+        w = np.stack([s.real, t.real], axis=3)
+        valid = _is_real(s) & _is_real(t) & (np.abs(w) <= reach).all(axis=3)
     owner, pts = np.nonzero(valid)[0], _apply(model.inv, w[valid])
-    with np.errstate(over="ignore", invalid="ignore"):  # a far root may overflow; good drops it
-        pts, res = _newton(model.f, model.alg, pts, targets[owner], _POLISH_STEPS)
-        good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + 1e-12)
+    pts, res = _newton(model.f, model.alg, pts, targets[owner], _POLISH_STEPS)
+    good = (res <= _FIBER_TOL) & (np.linalg.norm(pts, axis=1) <= epsilon + _BALL_SLACK)
     order = np.lexsort((pts[:, 1], pts[:, 0], owner))
     order = order[good[order]]
     counts = np.bincount(owner[order], minlength=len(targets))

@@ -44,6 +44,8 @@ class RealPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} does not have {nvars} entries")
+            if any(e < 0 for e in exp):
+                raise ValueError(f"exponent {exp} has a negative entry")
             c = float(c)
             if c != 0.0:
                 p.terms[exp] = p.terms.get(exp, 0.0) + c

@@ -279,3 +279,16 @@ def test_polymap_json_roundtrip():
     m2 = PolyMap.from_dict(m.to_dict())
     assert m2.u.terms == m.u.terms
     assert m2.v.terms == m.v.terms
+
+
+def test_negative_exponents_are_refused():
+    # x1^-1 would evaluate as 1 and differentiate to x1^-2
+    with pytest.raises(ValueError, match=r"exponent \(-1, 0\) has a negative entry"):
+        RealPoly.from_terms(2, [((-1, 0), 1.0)])
+    with pytest.raises(ValueError, match=r"exponent \(0, -2\) has a negative entry"):
+        RealPoly.from_term_list(2, [{"exp": [0, -2], "c": 1.0}])
+    term = {"exp": [1, 0], "c": 1.0}
+    with pytest.raises(ValueError, match=r"exponent \(0, -1\) has a negative entry"):
+        PolyMap.from_dict({"nvars": 1, "u": [term], "v": [{"exp": [0, -1], "c": 2.0}]})
+    with pytest.raises(ValueError, match=r"exponent \(1,\) does not have 2 entries"):
+        RealPoly.from_terms(2, [((1,), 1.0)])

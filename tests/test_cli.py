@@ -592,6 +592,37 @@ def test_loja_scan_stdout_is_the_recorded_bytes():
     assert proc.stdout == want
 
 
+QUADRATIC_POLY = {
+    "nvars": 1, "terms": [{"exp": [2], "c": [1, 0.5]}, {"exp": [1], "c": [0.3, 0.1]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, seed, recorded",
+    [
+        # the README's split-complex example
+        ("fiber-count", {"params": HYPERBOLIC, "poly": SQUARE_POLY}, 42,
+         "fiber_count_split_square_seed42.json"),
+        ("discriminant", {"params": HYPERBOLIC, "poly": SQUARE_POLY}, 42,
+         "discriminant_split_square_seed42.csv"),
+        ("fiber-count", {"params": COMPLEX, "poly": QUADRATIC_POLY}, 1,
+         "fiber_count_quadratic_complex_seed1.json"),
+        ("fiber-count", {"params": HYPERBOLIC, "poly": QUADRATIC_POLY}, 1,
+         "fiber_count_quadratic_split_seed1.json"),
+        ("discriminant", {"params": COMPLEX, "poly": QUADRATIC_POLY}, 1,
+         "discriminant_quadratic_complex_seed1.csv"),
+        ("discriminant", {"params": HYPERBOLIC, "poly": QUADRATIC_POLY}, 1,
+         "discriminant_quadratic_split_seed1.csv"),
+    ],
+)
+def test_one_variable_fibration_stdout_is_the_recorded_bytes(command, doc, seed, recorded):
+    # recorded from the solver that scaled far coefficient rows by powers of two
+    want = (Path(__file__).parent / "data" / recorded).read_text()
+    proc = run_cli(command, doc, "--seed", str(seed))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == want
+
+
 def _leaves(doc, path=()):
     if isinstance(doc, dict):
         return [leaf for key, value in doc.items() for leaf in _leaves(value, (*path, key))]
@@ -716,6 +747,9 @@ FAR_START_POLY = {
 
 
 TINY_LEAD_POLY = {"nvars": 1, "terms": [{"exp": [2], "c": [-1e-320, 0]}]}
+TINY_CUBE_POLY = {
+    "nvars": 1, "terms": [{"exp": [3], "c": [1e-320, 0]}, {"exp": [1], "c": [1, 0]}],
+}
 
 
 @pytest.mark.parametrize(
@@ -738,6 +772,11 @@ TINY_LEAD_POLY = {"nvars": 1, "terms": [{"exp": [2], "c": [-1e-320, 0]}]}
         ("fiber-count", {"params": COMPLEX, "poly": TINY_LEAD_POLY}, 0,
          lambda out: set(json.loads(out)["counts"]) == {0}
          and {n for _, n in json.loads(out)["fiberCounts"][0]} == {0}),
+        # 1e-320 x^3 is invisible on the ball: f is x there, one root per target
+        ("fiber-count", {"params": COMPLEX, "poly": TINY_CUBE_POLY}, 0,
+         lambda out: json.loads(out)["counts"] == [1]),
+        ("fiber-count", {"params": HYPERBOLIC, "poly": TINY_CUBE_POLY}, 0,
+         lambda out: json.loads(out)["counts"] == [1, 1, 1, 1]),
     ],
 )
 def test_values_dropped_past_the_float_range_keep_the_answer(command, doc, code, check):

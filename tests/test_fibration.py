@@ -486,16 +486,24 @@ def test_exact_partition_properties(kind, seed, degree):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("lead, const", [(-1e-320, 0.03), (5e-324, -1.0), (1e-10, -1e308)])
 def test_batched_roots_past_the_float_range_of_the_ratio(dtype, lead, const):
-    # -const / lead leaves the float range; the roots of lead z^k + const do not
+    # -const / lead leaves the float range, and every root of lead z^k + const
+    # lies far beyond reach: the lead is dropped, so no far root is computed
+    # and nothing overflows; its slots come back as inf
     lead = lead * (1 + 1j if dtype is complex else 1)
     for k in (2, 3):
         head = np.zeros(k, dtype)
         head[0] = lead
-        got = _roots(head, np.array([const], dtype))[0]
-        radius = (-const / 2.0**600 / lead + 0j) ** (1 / k) * 2.0 ** (600 / k)
-        want = radius * np.exp(2j * np.pi * np.arange(k) / k)
-        assert np.isfinite(got).all()
-        assert (np.abs(got[:, None] - want).min(axis=0) <= 1e-12 * np.abs(want)).all()
+        with np.errstate(all="raise"):
+            got = _roots(head, np.array([const], dtype), 4.0)[0]
+        assert len(got) == k and (got == np.inf).all()
+
+
+def test_batched_roots_judge_each_constant_class_apart():
+    # against the constant 0.05 the whole head is negligible on |w| <= 4, but
+    # with a zero constant 1e-300 w (w^2 + 1) keeps its roots 0 and +-i
+    got = _roots(np.array([1e-300, 0.0, 1e-300]), np.array([0.05, 0.0]), 4.0)
+    assert (got[0] == np.inf).all()
+    assert (np.abs(got[1][:, None] - np.array([-1j, 0.0, 1j])).min(axis=0) <= 1e-12).all()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -511,7 +519,7 @@ def test_batched_roots_match_np_roots(dtype):
             head[degree - rng.integers(0, degree) :] = 0.0
             consts = rng.normal(size=6).astype(dtype)
             consts[rng.integers(0, 6, 2)] = 0.0
-            got = _roots(head, consts)
+            got = _roots(head, consts, np.inf)
             for row, c in zip(got, consts):
                 want = np.roots(np.append(head, c))
                 assert len(row) == len(np.trim_zeros(head, "f"))
